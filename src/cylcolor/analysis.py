@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ._canon import canonical_form
-from .coloring import Precoloring, ring_precolorings, _solve_first
+from .coloring import Precoloring, extension_split, _solve_first
 from .embedding import (
     EmbeddedGraph,
     canon_cycle,
@@ -73,21 +73,15 @@ class CriticalityReport:
     witness: Optional[tuple[str, object]] = None
 
 
-def _members(adj, g: EmbeddedGraph) -> frozenset:
-    out = set()
-    for combo, fixed in ring_precolorings(g):
-        if _solve_first(adj, fixed) is not None:
-            out.add(combo)
-    return frozenset(out)
-
-
 def is_critical(g: EmbeddedGraph, guard: int = 22) -> CriticalityReport:
     """True iff the graph exceeds its rings and every deletion is felt.
 
     Checks every single non-ring vertex deletion and non-ring edge
     deletion: each must strictly grow the set of extendable ring
     precolorings.  Deletions are evaluated on the adjacency structure,
-    so intermediate subgraphs need not be valid embeddings.
+    so intermediate subgraphs need not be valid embeddings.  Only the
+    precolorings blocked in g are re-tested after a deletion, up to the
+    first one that extends.
     """
     if not g.rings:
         raise NoRings("criticality is defined relative to rings")
@@ -101,21 +95,26 @@ def is_critical(g: EmbeddedGraph, guard: int = 22) -> CriticalityReport:
     )
     if not extra_vertex and not extra_edges:
         return CriticalityReport(False, ("equals-rings", None))
-    base = _members(g.rotations, g)
+    _, blocked = extension_split(g.rotations, g)
+
+    def unchanged(adj) -> bool:
+        # A deletion can only add members, so it is felt exactly when
+        # some precoloring blocked in g extends.
+        return all(_solve_first(adj, fixed) is None for _, fixed in blocked)
 
     for v in extra_vertex:
         adj = [
             tuple(u for u in row if u != v) if w != v else ()
             for w, row in enumerate(g.rotations)
         ]
-        if _members(adj, g) == base:
+        if unchanged(adj):
             return CriticalityReport(False, ("vertex", v))
     for u, v in extra_edges:
         adj = [
             tuple(x for x in row if not (w == u and x == v) and not (w == v and x == u))
             for w, row in enumerate(g.rotations)
         ]
-        if _members(adj, g) == base:
+        if unchanged(adj):
             return CriticalityReport(False, ("edge", (u, v)))
     return CriticalityReport(True, None)
 

@@ -18,7 +18,7 @@ from .embedding import (
     parse_emg_stream,
     trace_faces,
 )
-from .errors import CylColorError, EMGParseError, TooLarge
+from .errors import CatalogTooSmall, CylColorError, EMGParseError, TooLarge
 
 
 def _read_input(path: Optional[str]) -> str:
@@ -40,14 +40,36 @@ def _write(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _parse_precolor(items: list[str]) -> dict[int, int]:
+def _precolor_arg(text: str) -> dict[int, int]:
+    """One --precolor value: comma separated v=c pairs."""
+    out: dict[int, int] = {}
+    for chunk in text.split(","):
+        if not chunk:
+            continue
+        k, _, v = chunk.partition("=")
+        try:
+            out[int(k)] = int(v)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"malformed entry {chunk!r} (expected v=c)"
+            ) from None
+    return out
+
+
+def _vertices_arg(text: str) -> tuple[int, ...]:
+    """A comma separated vertex list (--face, --q2, --q3)."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"malformed vertex list {text!r} (expected v1,v2,...)"
+        ) from None
+
+
+def _parse_precolor(items: list[dict[int, int]]) -> dict[int, int]:
     out: dict[int, int] = {}
     for item in items:
-        for chunk in item.split(","):
-            if not chunk:
-                continue
-            k, _, v = chunk.partition("=")
-            out[int(k)] = int(v)
+        out.update(item)
     return out
 
 
@@ -153,7 +175,13 @@ def _cmd_dominates(args) -> int:
 
 def _cmd_classify(args) -> int:
     g = _load(args.input)
-    w = analysis.recognize(g, args.catalog_bound, args.patch_bound)
+    try:
+        w = analysis.recognize(g, args.catalog_bound, args.patch_bound)
+    except CatalogTooSmall as exc:
+        # the catalog cannot vouch for NEITHER: flag it, as census does
+        print(f"note: {exc}", file=sys.stderr)
+        _write("verdict=UNKNOWN\n", args.out)
+        return 1
     name = {
         "near_quad33": "NQ",
         "framed_patched_tw": "FPTW",
@@ -190,17 +218,14 @@ def _cmd_chain(args) -> int:
 
 def _cmd_identify(args) -> int:
     g = _load(args.input)
-    face = tuple(int(t) for t in args.face.split(","))
-    out = surgery.identify_across_face(g, face, args.diagonal)
+    out = surgery.identify_across_face(g, args.face, args.diagonal)
     _write(emit_emg(out), args.out)
     return 0
 
 
 def _cmd_contract_ladder(args) -> int:
     g = _load(args.input)
-    q2 = tuple(int(t) for t in args.q2.split(","))
-    q3 = tuple(int(t) for t in args.q3.split(","))
-    out = surgery.ladder_contract(g, q2, q3)
+    out = surgery.ladder_contract(g, args.q2, args.q3)
     _write(emit_emg(out), args.out)
     return 0
 
@@ -270,12 +295,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("color", help="find a 3-coloring extending a precoloring")
     common(sp)
-    sp.add_argument("--precolor", action="append", default=[], help="v=c pairs, comma separated")
+    sp.add_argument(
+        "--precolor", action="append", default=[], type=_precolor_arg,
+        help="v=c pairs, comma separated",
+    )
     sp.set_defaults(func=_cmd_color)
 
     sp = sub.add_parser("count", help="count 3-colorings extending a precoloring")
     common(sp)
-    sp.add_argument("--precolor", action="append", default=[])
+    sp.add_argument("--precolor", action="append", default=[], type=_precolor_arg)
     sp.set_defaults(func=_cmd_count)
 
     sp = sub.add_parser("extendset", help="list extendable ring precolorings")
@@ -307,14 +335,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("identify", help="identify a diagonal across a 4-face")
     common(sp)
-    sp.add_argument("--face", required=True, help="v1,v2,v3,v4")
+    sp.add_argument("--face", required=True, type=_vertices_arg, help="v1,v2,v3,v4")
     sp.add_argument("--diagonal", default="13", choices=["13", "24"])
     sp.set_defaults(func=_cmd_identify)
 
     sp = sub.add_parser("contract-ladder", help="contract the staircase between two layers")
     common(sp)
-    sp.add_argument("--q2", required=True, help="comma separated layer cycle")
-    sp.add_argument("--q3", required=True, help="comma separated layer cycle")
+    sp.add_argument("--q2", required=True, type=_vertices_arg, help="comma separated layer cycle")
+    sp.add_argument("--q3", required=True, type=_vertices_arg, help="comma separated layer cycle")
     sp.set_defaults(func=_cmd_contract_ladder)
 
     sp = sub.add_parser("cut", help="one cutting step (introduce a short cycle)")

@@ -1,16 +1,24 @@
 """Exact 3-coloring: extension, counting, extendable sets, domination.
 
-One backtracking kernel serves both decision and counting.  It keeps a
-bitmask of available colors per vertex, propagates forced vertices to a
-fixpoint, and branches on the vertex with the fewest available colors
-(smallest id on ties), trying colors in increasing order.  This makes
-the first reported solution deterministic.
+One iterative backtracking kernel serves both decision and counting.
+It keeps a bitmask of available colors per vertex and an undo trail of
+every domain change, and walks the search tree with an explicit branch
+stack, so depth is not bounded by the interpreter's recursion limit.
+Forced vertices are propagated to a fixpoint once at the root; below
+it, only the vertex just assigned is propagated.  Branching takes the
+vertex with the fewest available colors (smallest id on ties) and tries
+colors in increasing order, which makes the first reported solution
+deterministic.
+
+``extension_split`` is the one place that decides which ring
+precolorings extend.  Deleting a vertex or an edge can only grow that
+set, so criticality tests and domination stop at the first precoloring
+that settles the answer instead of comparing whole sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .embedding import EmbeddedGraph, canon_cycle
@@ -20,7 +28,7 @@ COLORS = (1, 2, 3)
 _FULL = 0b111
 _MASK = {1: 0b001, 2: 0b010, 3: 0b100}
 _COLOR_OF = {0b001: 1, 0b010: 2, 0b100: 3}
-_BITS = {m: bin(m).count("1") for m in range(8)}
+_BITS = tuple(bin(m).count("1") for m in range(8))
 
 
 @dataclass
@@ -65,69 +73,92 @@ class ExtendableSet:
     members: frozenset[tuple[int, ...]]
 
 
-def _init_domains(adj: Sequence[Iterable[int]], fixed: Mapping[int, int]):
-    n = len(adj)
-    dom = [_FULL] * n
-    for v, c in fixed.items():
-        dom[v] = _MASK[c]
-    return dom
+def _propagate(adj, dom, size, trail, queue) -> bool:
+    """Remove forced colors outward from the queued singletons until
+    fixpoint; False on wipeout.
 
-
-def _propagate(adj, dom, queue) -> bool:
-    """Remove forced colors from neighbors until fixpoint; False on wipeout."""
+    Every domain change is pushed on the trail as (vertex, old mask).
+    """
     while queue:
         v = queue.pop()
         mask = dom[v]
         for u in adj[v]:
-            if dom[u] & mask:
-                dom[u] &= ~mask
-                if dom[u] == 0:
+            d = dom[u]
+            if d & mask:
+                trail.append((u, d))
+                d ^= mask
+                if not d:
                     return False
-                if _BITS[dom[u]] == 1:
+                dom[u] = d
+                size[u] -= 1
+                if not d & (d - 1):
                     queue.append(u)
     return True
 
 
-def _search(adj, dom, count_mode: bool, acc: list) -> int:
-    """Exhaustive count, or first-solution search (acc receives domains)."""
-    singles = [v for v in range(len(adj)) if _BITS[dom[v]] == 1]
-    # Propagation needs every singleton queued once from this state.
-    work = list(dom)
-    if not _propagate(adj, work, singles):
-        return 0
-    branch = -1
-    best = 4
-    for v in range(len(adj)):
-        b = _BITS[work[v]]
-        if 1 < b < best:
-            best = b
-            branch = v
-    if branch < 0:
-        if not count_mode:
-            acc.append(work)
-        return 1
+def _kernel(adj, fixed: Mapping[int, int], count_mode: bool):
+    """Backtracking over bitmask domains with an undo trail.
+
+    Returns the first solution's domain list (or None), or the number of
+    solutions in count mode.  The root is propagated to a fixpoint once;
+    below it, each assignment is propagated from the assigned vertex
+    only, which reaches the same fixpoint.  Branching takes the vertex
+    with the fewest colors (smallest id on ties), colors ascending.
+    """
+    n = len(adj)
+    dom = [_FULL] * n
+    size = [3] * n
+    for v, c in fixed.items():
+        dom[v] = _MASK[c]
+        size[v] = 1
+    trail: list[tuple[int, int]] = []
+    if not _propagate(adj, dom, size, trail, list(fixed)):
+        return 0 if count_mode else None
     total = 0
-    for c in COLORS:
-        m = _MASK[c]
-        if work[branch] & m:
-            child = list(work)
-            child[branch] = m
-            total += _search(adj, child, count_mode, acc)
-            if not count_mode and acc:
-                return total
-    return total
+    stack: list[list[int]] = []  # [vertex, colors left to try, trail mark]
+    while True:
+        # dom is a fixpoint here: branch, or record a solution
+        if 2 in size:
+            v = size.index(2)
+            stack.append([v, dom[v], len(trail)])
+        elif 3 in size:
+            v = size.index(3)
+            stack.append([v, _FULL, len(trail)])
+        elif count_mode:
+            total += 1
+        else:
+            return dom
+        # next child: undo to the top frame's mark and try its next color
+        while stack:
+            frame = stack[-1]
+            v, left, mark = frame
+            while len(trail) > mark:
+                u, d = trail.pop()
+                dom[u] = d
+                size[u] = _BITS[d]
+            if not left:
+                stack.pop()
+                continue
+            m = left & -left
+            frame[1] = left ^ m
+            trail.append((v, dom[v]))
+            dom[v] = m
+            size[v] = 1
+            if _propagate(adj, dom, size, trail, [v]):
+                break
+        else:
+            return total if count_mode else None
 
 
 def _solve_first(adj, fixed) -> dict[int, int] | None:
-    acc: list = []
-    _search(adj, _init_domains(adj, fixed), False, acc)
-    if not acc:
+    dom = _kernel(adj, fixed, False)
+    if dom is None:
         return None
-    return {v: _COLOR_OF[m] for v, m in enumerate(acc[0])}
+    return {v: _COLOR_OF[m] for v, m in enumerate(dom)}
 
 
 def _solve_count(adj, fixed) -> int:
-    return _search(adj, _init_domains(adj, fixed), True, [])
+    return _kernel(adj, fixed, True)
 
 
 def extend(g: EmbeddedGraph, psi: Precoloring) -> dict[int, int] | None:
@@ -149,32 +180,64 @@ def ring_precolorings(g: EmbeddedGraph) -> Iterable[tuple[tuple[int, ...], dict[
     """Total ring precolorings proper on the ring cycles, in lexicographic order."""
     domain = tuple(sorted(g.ring_vertices))
     pos = {v: i for i, v in enumerate(domain)}
-    ring_edges = [
-        (pos[a], pos[b])
-        for ring in g.rings
-        for a, b in zip(ring, ring[1:] + ring[:1])
-    ]
-    for combo in product(COLORS, repeat=len(domain)):
-        if any(combo[i] == combo[j] for i, j in ring_edges):
-            continue
+    earlier: list[list[int]] = [[] for _ in domain]  # ring neighbors placed before
+    for ring in g.rings:
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            i, j = sorted((pos[a], pos[b]))
+            earlier[j].append(i)
+    combos: list[tuple[int, ...]] = [()]
+    for before in earlier:
+        longer = []
+        for combo in combos:
+            used = {combo[i] for i in before}
+            longer.extend(combo + (c,) for c in COLORS if c not in used)
+        combos = longer
+    for combo in combos:
         yield combo, dict(zip(domain, combo))
+
+
+def extension_split(adj, g: EmbeddedGraph):
+    """Which ring precolorings of g extend under the adjacency ``adj``.
+
+    Returns the extending members (color tuples over the sorted ring
+    vertices) and the blocked precolorings, as (tuple, assignment) pairs
+    in lexicographic order.  ``adj`` may be g's own rotations or those of
+    a subgraph on the same vertex ids that keeps every ring vertex.
+    """
+    members = set()
+    blocked = []
+    for combo, fixed in ring_precolorings(g):
+        if _solve_first(adj, fixed) is not None:
+            members.add(combo)
+        else:
+            blocked.append((combo, fixed))
+    return frozenset(members), blocked
 
 
 def extendable_set(g: EmbeddedGraph) -> ExtendableSet:
     """Enumerate proper ring precolorings and keep those that extend."""
     if not g.rings:
         raise NoRings("graph has no rings")
-    domain = tuple(sorted(g.ring_vertices))
-    members = set()
-    adj = g.rotations
-    for combo, fixed in ring_precolorings(g):
-        if _solve_first(adj, fixed) is not None:
-            members.add(combo)
-    return ExtendableSet(domain, frozenset(members))
+    members, _ = extension_split(g.rotations, g)
+    return ExtendableSet(tuple(sorted(g.ring_vertices)), members)
 
 
 def _ring_signature(g: EmbeddedGraph):
     return sorted(canon_cycle(r) for r in g.rings)
+
+
+def _extends_all(g1: EmbeddedGraph, g2: EmbeddedGraph, to_g2) -> bool:
+    """True iff every ring precoloring that extends in g1 extends in g2.
+
+    ``to_g2`` turns an assignment on g1's ring vertices into one on
+    g2's.  Stops at the first member of g1 that fails in g2.
+    """
+    for _, fixed in ring_precolorings(g1):
+        if _solve_first(g1.rotations, fixed) is None:
+            continue
+        if _solve_first(g2.rotations, to_g2(fixed)) is None:
+            return False
+    return True
 
 
 def dominates(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
@@ -186,7 +249,7 @@ def dominates(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
         raise NoRings("both graphs need rings")
     if _ring_signature(g1) != _ring_signature(g2):
         raise RingMismatch("graphs do not share the same labeled rings")
-    return extendable_set(g1).members <= extendable_set(g2).members
+    return _extends_all(g1, g2, lambda fixed: fixed)
 
 
 def members_over(g: EmbeddedGraph, order: Sequence[int]) -> frozenset[tuple[int, ...]]:
@@ -217,6 +280,7 @@ def dominates_under(
     mapped = sorted(canon_cycle([vertex_map[v] for v in r]) for r in g2.rings)
     if mapped != _ring_signature(g1):
         raise RingMismatch("vertex map does not carry rings onto rings")
-    order2 = tuple(sorted(g2.ring_vertices))
-    order1 = tuple(vertex_map[v] for v in order2)
-    return members_over(g1, order1) <= members_over(g2, order2)
+    ring2 = sorted(g2.ring_vertices)
+    return _extends_all(
+        g1, g2, lambda fixed: {v: fixed[vertex_map[v]] for v in ring2}
+    )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .coloring import ring_precolorings, _solve_first
+from .coloring import extension_split, _solve_first
 from .embedding import (
     Cycle,
     CycleRef,
@@ -471,14 +471,6 @@ def _collapse_mapped(g, t1, t2) -> tuple[EmbeddedGraph, dict[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _ext_members(adj: Sequence[Sequence[int]], g: EmbeddedGraph) -> frozenset:
-    out = set()
-    for combo, fixed in ring_precolorings(g):
-        if _solve_first(adj, fixed) is not None:
-            out.add(combo)
-    return frozenset(out)
-
-
 def _connected_after(adj: dict[int, set[int]], removed_edge=None, removed_vertex=None) -> bool:
     verts = set(adj)
     if removed_vertex is not None:
@@ -513,9 +505,8 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
     """
     if g.n > guard:
         raise TooLarge(f"{g.n} vertices exceeds guard {guard}")
-    target = _ext_members(g.rotations, g)
-    universe = sum(1 for _ in ring_precolorings(g))
-    if len(target) == universe:
+    _, blocked = extension_split(g.rotations, g)
+    if not blocked:
         raise NothingToExtract("every ring precoloring extends")
 
     rot: dict[int, list[int]] = {v: list(g.rotations[v]) for v in range(g.n)}
@@ -537,8 +528,11 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
             )
         return adj
 
-    def ext_of(table, skip_edge=None, skip_vertex=None):
-        return _ext_members(adj_of(table, skip_edge, skip_vertex), g)
+    def unchanged(table, skip_edge=None, skip_vertex=None) -> bool:
+        # Every accepted deletion keeps the extendable set, so the blocked
+        # precolorings stay those of g; a deletion can only unblock some.
+        adj = adj_of(table, skip_edge, skip_vertex)
+        return all(_solve_first(adj, fixed) is None for _, fixed in blocked)
 
     changed = True
     while changed:
@@ -553,7 +547,7 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
         for e in edges:
             if not _connected_after(sets, removed_edge=e):
                 continue
-            if ext_of(rot, skip_edge=e) == target:
+            if unchanged(rot, skip_edge=e):
                 u, v = sorted(e)
                 rot[u].remove(v)
                 rot[v].remove(u)
@@ -566,7 +560,7 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
                 continue
             if not _connected_after(sets, removed_vertex=v):
                 continue
-            if ext_of(rot, skip_vertex=v) == target:
+            if unchanged(rot, skip_vertex=v):
                 for u in rot[v]:
                     rot[u].remove(v)
                 del rot[v]

@@ -2,7 +2,10 @@
 
 The coloring oracle enumerates all 3^n assignments; the cycle oracle
 goes through networkx.  Generator cross-checks enumerate abstract graphs
-from the networkx atlas and try every rotation system.
+from the networkx atlas and try every rotation system.  The reference
+solver is the library's former recursive kernel (same branching order,
+so the same first solution), and the criticality references compare
+whole extendable sets after every trial deletion.
 """
 
 from __future__ import annotations
@@ -157,3 +160,183 @@ def atlas_quad33_count(max_vertices: int) -> int:
                 continue
             seen.add(canonical_form(g))
     return len(seen)
+
+
+# ---------------------------------------------------------------------------
+# slow reference solver: recursive, re-propagating, copying
+# ---------------------------------------------------------------------------
+
+_MASK = {1: 0b001, 2: 0b010, 3: 0b100}
+_COLOR_OF = {0b001: 1, 0b010: 2, 0b100: 3}
+_BITS = {m: bin(m).count("1") for m in range(8)}
+
+
+def _ref_propagate(adj, dom, queue) -> bool:
+    """Remove forced colors from neighbors until fixpoint; False on wipeout."""
+    while queue:
+        v = queue.pop()
+        mask = dom[v]
+        for u in adj[v]:
+            if dom[u] & mask:
+                dom[u] &= ~mask
+                if dom[u] == 0:
+                    return False
+                if _BITS[dom[u]] == 1:
+                    queue.append(u)
+    return True
+
+
+def _ref_search(adj, dom, count_mode: bool, acc: list) -> int:
+    """Exhaustive count, or first-solution search (acc receives domains).
+
+    Each node copies the domains, re-propagates every singleton and
+    rescans every vertex for the branching choice: fewest colors first,
+    smallest id on ties, colors ascending.
+    """
+    singles = [v for v in range(len(adj)) if _BITS[dom[v]] == 1]
+    work = list(dom)
+    if not _ref_propagate(adj, work, singles):
+        return 0
+    branch = -1
+    best = 4
+    for v in range(len(adj)):
+        b = _BITS[work[v]]
+        if 1 < b < best:
+            best = b
+            branch = v
+    if branch < 0:
+        if not count_mode:
+            acc.append(work)
+        return 1
+    total = 0
+    for c in COLORS:
+        m = _MASK[c]
+        if work[branch] & m:
+            child = list(work)
+            child[branch] = m
+            total += _ref_search(adj, child, count_mode, acc)
+            if not count_mode and acc:
+                return total
+    return total
+
+
+def _ref_domains(adj, fixed):
+    dom = [0b111] * len(adj)
+    for v, c in fixed.items():
+        dom[v] = _MASK[c]
+    return dom
+
+
+def reference_first(adj, fixed) -> dict[int, int] | None:
+    """First solution in the kernel's branching order (recursive reference)."""
+    acc: list = []
+    _ref_search(adj, _ref_domains(adj, fixed), False, acc)
+    if not acc:
+        return None
+    return {v: _COLOR_OF[m] for v, m in enumerate(acc[0])}
+
+
+def reference_count(adj, fixed) -> int:
+    return _ref_search(adj, _ref_domains(adj, fixed), True, [])
+
+
+def _ref_members(adj, g: EmbeddedGraph) -> frozenset:
+    from cylcolor.coloring import ring_precolorings
+
+    return frozenset(
+        combo for combo, fixed in ring_precolorings(g)
+        if reference_first(adj, fixed) is not None
+    )
+
+
+# ---------------------------------------------------------------------------
+# criticality by set equality: recompute the whole extendable set per deletion
+# ---------------------------------------------------------------------------
+
+
+def reference_is_critical(g: EmbeddedGraph):
+    """CriticalityReport from comparing full extendable sets per deletion."""
+    from cylcolor.analysis import CriticalityReport
+
+    ring_vs = g.ring_vertices
+    ring_edges = g.ring_edge_set()
+    extra_vertex = [v for v in range(g.n) if v not in ring_vs]
+    extra_edges = sorted(
+        (u, v) for u, v in g.edges() if frozenset((u, v)) not in ring_edges
+    )
+    if not extra_vertex and not extra_edges:
+        return CriticalityReport(False, ("equals-rings", None))
+    base = _ref_members(g.rotations, g)
+    for v in extra_vertex:
+        adj = [
+            tuple(u for u in row if u != v) if w != v else ()
+            for w, row in enumerate(g.rotations)
+        ]
+        if _ref_members(adj, g) == base:
+            return CriticalityReport(False, ("vertex", v))
+    for u, v in extra_edges:
+        adj = [
+            tuple(x for x in row if not (w == u and x == v) and not (w == v and x == u))
+            for w, row in enumerate(g.rotations)
+        ]
+        if _ref_members(adj, g) == base:
+            return CriticalityReport(False, ("edge", (u, v)))
+    return CriticalityReport(True, None)
+
+
+def reference_maximal_critical(g: EmbeddedGraph):
+    """(subgraph, vertex map) by deleting while the full set is unchanged.
+
+    Same deletion order as the library: edges first, smallest endpoint
+    pair first, then vertices; repeated to a fixpoint.
+    """
+    from cylcolor.coloring import ring_precolorings
+    from cylcolor.errors import NothingToExtract
+    from cylcolor.surgery import _compress_table, _connected_after
+
+    target = _ref_members(g.rotations, g)
+    if len(target) == sum(1 for _ in ring_precolorings(g)):
+        raise NothingToExtract("every ring precoloring extends")
+    rot = {v: list(g.rotations[v]) for v in range(g.n)}
+    ring_vs = g.ring_vertices
+    ring_edges = g.ring_edge_set()
+
+    def members_without(skip_edge=None, skip_vertex=None):
+        adj = [()] * (max(rot) + 1)
+        for v, row in rot.items():
+            if v != skip_vertex:
+                adj[v] = tuple(
+                    u for u in row
+                    if u != skip_vertex and frozenset((u, v)) != skip_edge
+                )
+        return _ref_members(adj, g)
+
+    changed = True
+    while changed:
+        changed = False
+        sets = {v: set(row) for v, row in rot.items()}
+        edges = sorted(
+            frozenset((u, v))
+            for v, row in rot.items()
+            for u in row
+            if u < v and frozenset((u, v)) not in ring_edges
+        )
+        for e in edges:
+            if _connected_after(sets, removed_edge=e) and members_without(skip_edge=e) == target:
+                u, v = sorted(e)
+                rot[u].remove(v)
+                rot[v].remove(u)
+                changed = True
+                break
+        if changed:
+            continue
+        for v in sorted(rot):
+            if v in ring_vs or not _connected_after(sets, removed_vertex=v):
+                continue
+            if members_without(skip_vertex=v) == target:
+                for u in rot[v]:
+                    rot[u].remove(v)
+                del rot[v]
+                changed = True
+                break
+    return _compress_table(rot, g.rings)

@@ -40,6 +40,7 @@ from cylcolor.families import (
 )
 
 import fixtures
+from oracles import reference_is_critical
 
 
 # -- criticality ------------------------------------------------------------------
@@ -62,6 +63,17 @@ def test_subdivided_prism_witness():
     assert kind == "vertex" and detail == 6
     g = fixtures.subdivided_prism()
     assert g.degree(6) == 2
+
+
+def test_is_critical_matches_set_equality_oracle():
+    # the corpus holds every quad33 graph on at most 8 vertices
+    verdicts = set()
+    corpus = fixtures.cylinder_corpus() + [("subdivided-prism", fixtures.subdivided_prism())]
+    for name, g in corpus:
+        rep = is_critical(g)
+        assert rep == reference_is_critical(g), name
+        verdicts.add(rep.witness[0] if rep.witness else None)
+    assert verdicts == {None, "vertex", "edge"}
 
 
 def test_criticality_guard():

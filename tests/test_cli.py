@@ -254,3 +254,35 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["color", "--bogus"])
     assert err.value.code == 2
+
+
+def test_malformed_precolor_exit_code(capsys):
+    for bad in ("0=x", "x=1", "0", "0=1,,2=y"):
+        with pytest.raises(SystemExit) as err:
+            main(["color", "--precolor", bad])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: argument --precolor: malformed entry" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_malformed_face_exit_code(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["identify", "--face", "4,5,x,8"])
+    assert err.value.code == 2
+    assert "error: argument --face: malformed vertex list" in capsys.readouterr().err
+
+
+def test_classify_past_catalog_bound_is_unknown(capsys, monkeypatch):
+    from cylcolor.families import reduced_thomas_walls
+
+    g, _ = reduced_thomas_walls(3)
+    code, out, err = run(
+        capsys,
+        ["classify", "--catalog-bound", "6", "--patch-bound", "0"],
+        stdin=emit_emg(g),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 1
+    assert out.strip() == "verdict=UNKNOWN"
+    assert "catalog bound 6" in err

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -15,13 +15,15 @@ from cylcolor.coloring import (
     dominates_under,
     extend,
     extendable_set,
+    ring_precolorings,
+    _ring_signature,
 )
-from cylcolor.embedding import EmbeddedGraph
+from cylcolor.embedding import EmbeddedGraph, relabel
 from cylcolor.errors import ImproperPrecoloring, NoRings, RingMismatch
 from cylcolor.families import cylinder_grid
 
 import fixtures
-from oracles import brute_count, brute_ring_members
+from oracles import brute_count, brute_ring_members, reference_count, reference_first
 
 
 def single_edge() -> EmbeddedGraph:
@@ -58,6 +60,27 @@ def test_extend_deterministic():
     a = extend(g, Precoloring.empty())
     b = extend(g, Precoloring.empty())
     assert a == b
+
+
+def test_extend_large_grid_answers():
+    # 1600 vertices: deeper than the interpreter's recursion limit
+    g = cylinder_grid(40, 40)
+    col = extend(g, Precoloring.empty())
+    assert col is not None
+    assert all(col[u] != col[v] for u, v in g.edges())
+
+
+def test_kernel_matches_recursive_reference_on_corpus():
+    # same first solution (so extend stays deterministic) and same count
+    for name, g in fixtures.cylinder_corpus():
+        psis = [{}] + [fixed for _, fixed in ring_precolorings(g)]
+        for fixed in psis:
+            psi = Precoloring(fixed)
+            assert extend(g, psi) == reference_first(g.rotations, fixed), (name, fixed)
+            assert count_colorings(g, psi) == reference_count(g.rotations, fixed), (
+                name,
+                fixed,
+            )
 
 
 def test_extend_agrees_with_count():
@@ -138,6 +161,19 @@ def test_chord_clash_is_legal_input():
 # -- extendable sets -------------------------------------------------------------
 
 
+def test_ring_precolorings_lexicographic_and_proper():
+    corpus = fixtures.cylinder_corpus() + [("shared", fixtures.shared_vertex_quad33())]
+    for name, g in corpus:
+        domain = sorted(g.ring_vertices)
+        edges = [(a, b) for r in g.rings for a, b in zip(r, r[1:] + r[:1])]
+        want = []
+        for combo in product((1, 2, 3), repeat=len(domain)):
+            col = dict(zip(domain, combo))
+            if all(col[a] != col[b] for a, b in edges):
+                want.append((combo, col))
+        assert list(ring_precolorings(g)) == want, name
+
+
 def test_ring_only_graph_has_full_set():
     es = extendable_set(fixtures.c4_disk())
     assert len(es.members) == 18
@@ -188,6 +224,34 @@ def test_extra_edge_can_break_domination():
     g2 = EmbeddedGraph(tuple(tuple(r) for r in rot), g.rings)
     assert dominates(g2, g)  # subgraph relation: g2's colorings restrict
     assert not dominates(g, g2)  # the diagonal kills some extensions
+
+
+def _shared_ring_corpus():
+    corpus = [g for _, g in fixtures.cylinder_corpus()]
+    sig = _ring_signature(fixtures.prism())
+    return [g for g in corpus if _ring_signature(g) == sig]
+
+
+def test_dominates_matches_set_inclusion():
+    graphs = _shared_ring_corpus()
+    members = [brute_ring_members(g) for g in graphs]
+    verdicts = set()
+    for g1, m1 in zip(graphs, members):
+        for g2, m2 in zip(graphs, members):
+            verdict = dominates(g1, g2)
+            assert verdict == (m1 <= m2)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_dominates_under_matches_set_inclusion():
+    graphs = _shared_ring_corpus()[:20]
+    members = [brute_ring_members(g) for g in graphs]
+    for g1, m1 in zip(graphs, members):
+        for g2, m2 in zip(graphs, members):
+            perm = list(reversed(range(g2.n)))
+            ring_map = {perm[v]: v for v in g2.ring_vertices}
+            assert dominates_under(g1, relabel(g2, perm), ring_map) == (m1 <= m2)
 
 
 def test_dominates_ring_mismatch():

@@ -41,10 +41,12 @@ from cylcolor.surgery import (
     ladder_contract,
     max_chain_exhaustive,
     maximal_critical_subgraph,
+    _maximal_critical_mapped,
     shortest_layer_cycle,
 )
 
 import fixtures
+from oracles import reference_maximal_critical
 
 
 def internal_quads(g: EmbeddedGraph):
@@ -271,6 +273,22 @@ def test_maximal_critical_fixpoint_on_critical_input():
     g = cylinder_grid(4, 2)  # the cube is critical
     out = maximal_critical_subgraph(g)
     assert out == g
+
+
+def test_maximal_critical_matches_set_equality_oracle():
+    # the corpus holds every quad33 graph on at most 8 vertices
+    shrunk = 0
+    corpus = fixtures.cylinder_corpus() + [("subdivided-prism", fixtures.subdivided_prism())]
+    for name, g in corpus:
+        try:
+            want = reference_maximal_critical(g)
+        except NothingToExtract:
+            with pytest.raises(NothingToExtract):
+                _maximal_critical_mapped(g)
+            continue
+        assert _maximal_critical_mapped(g) == want, name
+        shrunk += want[0].n < g.n or want[0].edge_count < g.edge_count
+    assert shrunk
 
 
 def test_maximal_critical_nothing_to_extract():
