@@ -51,6 +51,7 @@ __all__ = [
     "recognize",
     "reproduce_witness",
     "framed_patched_catalog",
+    "VERDICT_NAMES",
     "census",
 ]
 
@@ -224,6 +225,9 @@ class FamilyWitness:
     decomposition: Optional[object] = None
 
 
+# Census and CLI spelling of each recognition verdict.
+VERDICT_NAMES = {"near_quad33": "NQ", "framed_patched_tw": "FPTW", "neither": "NEITHER"}
+
 _CATALOG_CACHE: dict[tuple[int, int], dict[bytes, FramedRecipe]] = {}
 
 
@@ -337,11 +341,7 @@ def _census_one(args) -> CensusRecord:
     else:
         skipped = True
     try:
-        verdict = {
-            "near_quad33": "NQ",
-            "framed_patched_tw": "FPTW",
-            "neither": "NEITHER",
-        }[recognize(g, catalog_bound, patch_bound).verdict]
+        verdict = VERDICT_NAMES[recognize(g, catalog_bound, patch_bound).verdict]
     except CatalogTooSmall:
         verdict = "UNKNOWN"
     def_int = face_deficiency(g).deficiency_internal
@@ -373,7 +373,6 @@ def census(
     if jobs > 1:
         from multiprocessing import get_context
 
-        framed_patched_catalog(catalog_bound, patch_bound)  # warm the cache once
         with get_context("fork").Pool(jobs) as pool:
             records = pool.map(_census_one, work)
     else:

@@ -182,12 +182,7 @@ def _cmd_classify(args) -> int:
         print(f"note: {exc}", file=sys.stderr)
         _write("verdict=UNKNOWN\n", args.out)
         return 1
-    name = {
-        "near_quad33": "NQ",
-        "framed_patched_tw": "FPTW",
-        "neither": "NEITHER",
-    }[w.verdict]
-    _write(f"verdict={name}\n", args.out)
+    _write(f"verdict={analysis.VERDICT_NAMES[w.verdict]}\n", args.out)
     return 0
 
 

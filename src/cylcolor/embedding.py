@@ -234,7 +234,7 @@ def trace_faces(g: EmbeddedGraph) -> FaceList:
 
 def _check_cycle(g: EmbeddedGraph, cycle: Sequence[int]) -> Cycle:
     cyc = tuple(cycle)
-    if len(cyc) < 3 or len(set(cyc)) != len(cyc):
+    if len(cyc) < 3 or len(set(cyc)) != len(cyc) or not all(0 <= v < g.n for v in cyc):
         raise NotACycle(f"{cyc} is not a simple cycle")
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         if not g.has_edge(a, b):
@@ -375,6 +375,21 @@ def relabel(g: EmbeddedGraph, perm: Sequence[int]) -> EmbeddedGraph:
         rot[perm[v]] = tuple(perm[u] for u in g.rotations[v])
     rings = tuple(tuple(perm[v] for v in ring) for ring in g.rings)
     return EmbeddedGraph(tuple(rot), rings)
+
+
+def compress_rotations(
+    rot: dict[int, Sequence[int]], rings: Iterable[Sequence[int]]
+) -> tuple[EmbeddedGraph, dict[int, int]]:
+    """Build a map from a rotation table on sparse ids.
+
+    The ids are renumbered densely in increasing order; returns the map
+    and the old-to-new id map.
+    """
+    ids = sorted(rot)
+    remap = {old: new for new, old in enumerate(ids)}
+    rotations = tuple(tuple(remap[u] for u in rot[old]) for old in ids)
+    new_rings = tuple(tuple(remap[v] for v in ring) for ring in rings)
+    return EmbeddedGraph(rotations, new_rings), remap
 
 
 def reflected(g: EmbeddedGraph) -> EmbeddedGraph:

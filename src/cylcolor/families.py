@@ -19,6 +19,7 @@ from ._canon import canonical_form
 from .embedding import (
     Cycle,
     EmbeddedGraph,
+    compress_rotations,
     reflected,
     rotation_system_from_faces,
 )
@@ -81,8 +82,6 @@ class FamilySpec:
 
     def realize(self) -> list[EmbeddedGraph]:
         """Generate the family, isomorph-free and in canonical order."""
-        from ._canon import canonical_form as canon
-
         self.validate()
         if self.kind == "thomas_walls":
             return [thomas_walls(self.n)]
@@ -97,16 +96,22 @@ class FamilySpec:
         if self.kind == "grid":
             return [cylinder_grid(self.width, self.layers)]
         if self.kind == "near_quad33":
-            seen: dict[bytes, EmbeddedGraph] = {}
-            for base in generate_quad33(self.max_vertices):
-                for subs in subdivision_choices(base):
-                    g = near_quad33(base, subs)
-                    seen.setdefault(canon(g), g)
-            return [seen[k] for k in sorted(seen)]
-        seen = {}
-        for g, _ in enumerate_framed_patched(self.max_vertices, self.patch_bound):
-            seen.setdefault(canon(g), g)
-        return [seen[k] for k in sorted(seen)]
+            return _isomorph_free(
+                near_quad33(base, subs)
+                for base in generate_quad33(self.max_vertices)
+                for subs in subdivision_choices(base)
+            )
+        return _isomorph_free(
+            g for g, _ in enumerate_framed_patched(self.max_vertices, self.patch_bound)
+        )
+
+
+def _isomorph_free(graphs: Iterable[EmbeddedGraph]) -> list[EmbeddedGraph]:
+    """The first graph of each isomorphism class, in canonical-form order."""
+    seen: dict[bytes, EmbeddedGraph] = {}
+    for g in graphs:
+        seen.setdefault(canonical_form(g), g)
+    return [seen[k] for k in sorted(seen)]
 
 
 def subdivision_choices(base: EmbeddedGraph):
@@ -332,22 +337,19 @@ def _disk_graph(faces: tuple[Cycle, ...], n_total: int, boundary_len: int) -> Em
 
 def generate_hexagon_disks(max_internal: int) -> list[EmbeddedGraph]:
     """All quadrangulated disks with a 6-ring, chords allowed, isomorph-free."""
-    seen: dict[bytes, EmbeddedGraph] = {}
-    for faces, n_total in _fill_disk(6, max_internal):
-        g = _disk_graph(faces, n_total, 6)
-        seen.setdefault(canonical_form(g), g)
-    return [seen[k] for k in sorted(seen)]
+    return _isomorph_free(
+        _disk_graph(faces, n_total, 6) for faces, n_total in _fill_disk(6, max_internal)
+    )
 
 
 def generate_patches(max_internal: int) -> list[EmbeddedGraph]:
     """All patches (chordless 6-ring, quadrangulated interior), isomorph-free."""
     if max_internal < 0:
         raise InvalidParameter("max_internal must be >= 0")
-    seen: dict[bytes, EmbeddedGraph] = {}
-    for faces, n_total in _fill_disk(6, max_internal, frozenset(range(6))):
-        g = _disk_graph(faces, n_total, 6)
-        seen.setdefault(canonical_form(g), g)
-    return [seen[k] for k in sorted(seen)]
+    return _isomorph_free(
+        _disk_graph(faces, n_total, 6)
+        for faces, n_total in _fill_disk(6, max_internal, frozenset(range(6)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +396,6 @@ def _check_placements(g: EmbeddedGraph, placements) -> None:
             raise NotIndependent(f"placement vertices {v}, {u} are adjacent")
 
 
-def _compress(rot: dict[int, list[int]], rings: Iterable[Sequence[int]]):
-    """Relabel a rotation dict onto dense ids, preserving id order."""
-    ids = sorted(rot)
-    remap = {old: new for new, old in enumerate(ids)}
-    rotations = tuple(tuple(remap[u] for u in rot[old]) for old in ids)
-    new_rings = tuple(tuple(remap[v] for v in ring) for ring in rings)
-    return rotations, new_rings, remap
-
-
 def _patch_graph_mapped(g: EmbeddedGraph, placements) -> tuple[EmbeddedGraph, dict[int, int]]:
     _check_placements(g, placements)
     rot: dict[int, list[int]] = {v: list(g.rotations[v]) for v in range(g.n)}
@@ -440,8 +433,7 @@ def _patch_graph_mapped(g: EmbeddedGraph, placements) -> tuple[EmbeddedGraph, di
             k = host.index(v)
             host[k : k + 1] = [sigma[succ_ring]] + internals + [sigma[pred_ring]]
         del rot[v]
-    rotations, rings, remap = _compress(rot, g.rings)
-    return EmbeddedGraph(rotations, rings), remap
+    return compress_rotations(rot, g.rings)
 
 
 def patch_graph(
@@ -579,17 +571,12 @@ def generate_quad33(max_vertices: int) -> list[EmbeddedGraph]:
     """
     if max_vertices < 6:
         raise InvalidParameter("max_vertices must be >= 6")
-    seen: dict[bytes, EmbeddedGraph] = {}
-    for L in range(1, max_vertices - 4):
-        budget = max_vertices - 5 - L
-        if budget < 0:
-            break
-        for faces, n_total in _fill_disk(6 + 2 * L, budget):
-            g = _glue_quad33(faces, n_total, L)
-            if g is None or g.n > max_vertices:
-                continue
-            seen.setdefault(canonical_form(g), g)
-    return [seen[k] for k in sorted(seen)]
+    glued = (
+        _glue_quad33(faces, n_total, L)
+        for L in range(1, max_vertices - 4)
+        for faces, n_total in _fill_disk(6 + 2 * L, max_vertices - 5 - L)
+    )
+    return _isomorph_free(g for g in glued if g is not None and g.n <= max_vertices)
 
 
 def is_quad33(g: EmbeddedGraph) -> bool:
@@ -682,9 +669,8 @@ def near_quad33_decomposition(
                     ring.remove(v)
         if not ok:
             continue
-        rotations, new_rings, remap = _compress(rot, rings)
         try:
-            base = EmbeddedGraph(rotations, new_rings)
+            base, remap = compress_rotations(rot, rings)
         except CylColorError:
             continue
         if not is_quad33(base):

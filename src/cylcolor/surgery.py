@@ -17,8 +17,10 @@ from .embedding import (
     CycleRef,
     EmbeddedGraph,
     canon_cycle,
+    compress_rotations,
     distance,
     enumerate_short_cycles,
+    is_contractible,
     is_tame,
     _cycles_up_to,
     _face_sides,
@@ -30,6 +32,7 @@ from .errors import (
     InvalidParameter,
     MalformedRotation,
     NoSuchCycle,
+    NotACycle,
     NotAFace,
     NotALadder,
     NotTame,
@@ -44,16 +47,6 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # shared rotation-table helpers
 # ---------------------------------------------------------------------------
-
-
-def _compress_table(
-    rot: dict[int, list[int]], rings: Sequence[Sequence[int]]
-) -> tuple[EmbeddedGraph, dict[int, int]]:
-    ids = sorted(rot)
-    remap = {old: new for new, old in enumerate(ids)}
-    rotations = tuple(tuple(remap[u] for u in rot[old]) for old in ids)
-    new_rings = tuple(tuple(remap[v] for v in ring) for ring in rings)
-    return EmbeddedGraph(rotations, new_rings), remap
 
 
 def _simplify_table(
@@ -77,7 +70,7 @@ def _simplify_table(
             if u > v and k == 2:
                 doubled.append((v, u))
     if not doubled:
-        return _compress_table(rot, rings)
+        return compress_rotations(rot, rings)
     choices = []
     for v, u in doubled:
         pv = [i for i, x in enumerate(rot[v]) if x == u]
@@ -100,7 +93,7 @@ def _simplify_table(
         if not ok:
             continue
         try:
-            return _compress_table(table, rings)
+            return compress_rotations(table, rings)
         except (MalformedRotation, EulerViolation) as exc:
             last_error = exc
     raise MalformedRotation(
@@ -234,18 +227,17 @@ def distance_classes(g: EmbeddedGraph, ring_index: int = 0) -> DistanceClasses:
     return DistanceClasses(tuple(layers))
 
 
-def _separates_rings(g: EmbeddedGraph, cut: frozenset[int]) -> bool:
-    if len(g.rings) != 2:
+def _separates(
+    g: EmbeddedGraph, cut: set[int] | frozenset[int], a: Sequence[int], b: Sequence[int]
+) -> bool:
+    """True iff every path from a vertex in `a` to a vertex in `b` meets `cut`."""
+    dst = {v for v in b if v not in cut}
+    seen = {v for v in a if v not in cut}
+    if seen & dst:
         return False
-    src = [v for v in g.rings[0] if v not in cut]
-    dst = {v for v in g.rings[1] if v not in cut}
-    if not src or not dst:
-        return True
-    seen = set(src)
-    stack = list(src)
+    stack = list(seen)
     while stack:
-        v = stack.pop()
-        for u in g.rotations[v]:
+        for u in g.rotations[stack.pop()]:
             if u in dst:
                 return False
             if u not in cut and u not in seen:
@@ -263,13 +255,13 @@ def shortest_layer_cycle(g: EmbeddedGraph, a: int, ring_index: int = 0) -> Cycle
     if a >= len(layers):
         raise NoSuchCycle(f"no vertices at distance {a}")
     layer = layers[a]
-    if not _separates_rings(g, layer):
+    if len(g.rings) != 2 or not _separates(g, layer, g.rings[0], g.rings[1]):
         raise NoSuchCycle(f"layer {a} does not separate the rings")
     for length in range(3, len(layer) + 1):
         found = [
             c
             for c in _cycles_up_to(g, length, within=layer)
-            if len(c) == length and not _is_contractible_cycle(g, c)
+            if len(c) == length and not is_contractible(g, c)
         ]
         if found:
             best = min(found, key=lambda c: (tuple(sorted(c)), c))
@@ -282,12 +274,6 @@ def shortest_layer_cycle(g: EmbeddedGraph, a: int, ring_index: int = 0) -> Cycle
                         raise AuditFailed(f"shortest layer cycle {best} has a chord")
             return CycleRef(best, False)
     raise NoSuchCycle(f"no non-contractible cycle inside layer {a}")
-
-
-def _is_contractible_cycle(g: EmbeddedGraph, cyc: Cycle) -> bool:
-    side_a, side_b = _face_sides(g, cyc)
-    holes = set(g.faces.ring_faces)
-    return not (holes & side_a) or not (holes & side_b)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +361,7 @@ def _collapse_mapped(g, t1, t2) -> tuple[EmbeddedGraph, dict[int, int]]:
             g.has_edge(c[i], c[(i + 1) % 3]) for i in range(3)
         ):
             raise NotTrianglePair(f"{c} is not a triangle")
-        if _is_contractible_cycle(g, c):
+        if is_contractible(g, c):
             raise NotTrianglePair(f"{c} is contractible")
     shared = set(c1) & set(c2)
     if len(shared) != 1:
@@ -566,7 +552,7 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
                 del rot[v]
                 changed = True
                 break
-    return _compress_table(rot, g.rings)
+    return compress_rotations(rot, g.rings)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +689,7 @@ def _piece_between(g, x: Cycle, y: Cycle, sides) -> EmbeddedGraph:
     keep = set(rot)
     for v in keep:
         rot[v] = [u for u in rot[v] if u in keep]
-    piece, _ = _compress_table(rot, (x, y))
+    piece, _ = compress_rotations(rot, (x, y))
     return piece
 
 
@@ -715,12 +701,16 @@ def audit_chain(g: EmbeddedGraph, chain: ChainDecomposition) -> list[str]:
     ring1, ring2 = g.rings
     if canon_cycle(cycles[0]) != canon_cycle(ring1) or canon_cycle(cycles[-1]) != canon_cycle(ring2):
         violations.append("end cycles are not the rings")
+    all_cycles = True
     for c in cycles:
         try:
-            if _is_contractible_cycle(g, c):
+            if is_contractible(g, c):
                 violations.append(f"cutting cycle {c} contractible")
-        except Exception:
+        except NotACycle:
             violations.append(f"{c} is not a cycle")
+            all_cycles = False
+    if not all_cycles:
+        return violations  # the checks below need every cutting cycle to be a cycle of g
     last = len(cycles) - 1
     for i in range(len(cycles)):
         for j in range(i + 1, len(cycles)):
@@ -739,24 +729,7 @@ def audit_chain(g: EmbeddedGraph, chain: ChainDecomposition) -> list[str]:
         cut = set(cycles[j])
         for i in range(j):
             for k in range(j + 1, len(cycles)):
-                src = [v for v in cycles[i] if v not in cut]
-                dst = {v for v in cycles[k] if v not in cut}
-                if not src or not dst:
-                    continue
-                seen = set(src)
-                stack = list(src)
-                reached = False
-                while stack and not reached:
-                    v = stack.pop()
-                    for u in g.rotations[v]:
-                        if u in cut or u in seen:
-                            continue
-                        if u in dst:
-                            reached = True
-                            break
-                        seen.add(u)
-                        stack.append(u)
-                if reached:
+                if not _separates(g, cut, cycles[i], cycles[k]):
                     violations.append(f"cycle {j} fails to separate {i} from {k}")
     triangles = [c for c in _cycles_up_to(g, 3)]
     canon_cuts = {canon_cycle(c) for c in cycles}
@@ -787,46 +760,6 @@ def audit_chain(g: EmbeddedGraph, chain: ChainDecomposition) -> list[str]:
     return violations
 
 
-def max_chain_exhaustive(g: EmbeddedGraph) -> int:
-    """Brute-force maximum chain length by trying all cycle subsequences."""
-    refs, sides = _chain_candidates(g)
-    ring1, ring2 = g.rings
-    byc = {canon_cycle(r.vertices): r.vertices for r in refs}
-    c0 = byc[canon_cycle(ring1)]
-    cn = byc[canon_cycle(ring2)]
-    if c0 == cn:
-        return 1
-    triangles = {canon_cycle(c) for c in _cycles_up_to(g, 3)}
-    middle = [r.vertices for r in refs if r.vertices not in (c0, cn)]
-    best = 0
-    from itertools import combinations as combos
-
-    for r in range(len(middle) + 1):
-        for sub in combos(middle, r):
-            seq = [c0] + sorted(sub, key=lambda c: len(sides[c])) + [cn]
-            if {canon_cycle(c) for c in seq} >= triangles and _valid_chain_seq(
-                g, seq, sides, ring1, ring2
-            ):
-                best = max(best, len(seq) - 1)
-    return best
-
-
-def _valid_chain_seq(g, seq, sides, ring1, ring2) -> bool:
-    for i in range(len(seq) - 1):
-        if not sides[seq[i]] < sides[seq[i + 1]]:
-            return False
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if set(seq[i]) & set(seq[j]):
-                endpair = (i, j) in ((0, 1), (len(seq) - 2, len(seq) - 1))
-                type_ok = (
-                    len(seq[i]) == 4 and len(seq[j]) == 3 and i in (0, len(seq) - 1)
-                ) or (len(seq[j]) == 4 and len(seq[i]) == 3 and j in (0, len(seq) - 1))
-                if not (endpair and type_ok):
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the cutting step
 # ---------------------------------------------------------------------------
@@ -835,6 +768,16 @@ def _valid_chain_seq(g, seq, sides, ring1, ring2) -> bool:
 def cut_step(g: EmbeddedGraph, d0: int, guard: int = 22, audit: bool = True) -> EmbeddedGraph:
     out, _ = _cut_step_mapped(g, d0, guard, audit)
     return out
+
+
+def _extra_short_cycles(g: EmbeddedGraph) -> list[CycleRef]:
+    """The non-contractible cycles of length <= 4 other than the rings."""
+    ring_canons = {canon_cycle(r) for r in g.rings}
+    return [
+        r
+        for r in enumerate_short_cycles(g, 4, only_noncontractible=True)
+        if canon_cycle(r.vertices) not in ring_canons
+    ]
 
 
 def _cut_step_mapped(g: EmbeddedGraph, d0: int, guard: int, audit: bool):
@@ -847,13 +790,11 @@ def _cut_step_mapped(g: EmbeddedGraph, d0: int, guard: int, audit: bool):
     triangles = enumerate_short_cycles(g, 3)
     if any(t.contractible for t in triangles):
         raise PreconditionFailed("contractible-triangle-free")
-    ring_canons = {canon_cycle(r) for r in g.rings}
-    for r in enumerate_short_cycles(g, 4, only_noncontractible=True):
-        if canon_cycle(r.vertices) not in ring_canons:
-            raise PreconditionFailed(
-                "noncontractible-cycles-are-rings: extra cycle "
-                f"{r.vertices}"
-            )
+    extra = _extra_short_cycles(g)
+    if extra:
+        raise PreconditionFailed(
+            f"noncontractible-cycles-are-rings: extra cycle {extra[0].vertices}"
+        )
     d = distance(g, g.rings[0], g.rings[1])
     if d0 < 3 or d < d0:
         raise PreconditionFailed(f"distance: d({d}) < d0({d0})")
@@ -904,13 +845,7 @@ def _cut_route(g: EmbeddedGraph, d0: int, guard: int):
                 total = {v: m3[w] for v, w in total.items() if w in m3}
             else:
                 g3 = g2
-            ring_canons = {canon_cycle(r) for r in g3.rings}
-            extra = [
-                r
-                for r in enumerate_short_cycles(g3, 4, only_noncontractible=True)
-                if canon_cycle(r.vertices) not in ring_canons
-            ]
-            if extra:
+            if _extra_short_cycles(g3):
                 return g3, total
             # still critical with full distance: recurse on the smaller graph
             sub = _cut_step_mapped(g3, d0, guard, audit=False)
@@ -981,12 +916,7 @@ def _audit_cut(g, out, total, d_before, guard):
     d_after = distance(out, out.rings[0], out.rings[1])
     if d_after < d_before - 2:
         raise AuditFailed(f"ring distance dropped from {d_before} to {d_after}")
-    ring_canons = {canon_cycle(r) for r in out.rings}
-    extra = [
-        r
-        for r in enumerate_short_cycles(out, 4, only_noncontractible=True)
-        if canon_cycle(r.vertices) not in ring_canons
-    ]
+    extra = _extra_short_cycles(out)
     if not extra:
         raise AuditFailed("no new short non-contractible cycle")
     ring_vs = set(out.ring_vertices)

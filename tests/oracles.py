@@ -5,16 +5,17 @@ goes through networkx.  Generator cross-checks enumerate abstract graphs
 from the networkx atlas and try every rotation system.  The reference
 solver is the library's former recursive kernel (same branching order,
 so the same first solution), and the criticality references compare
-whole extendable sets after every trial deletion.
+whole extendable sets after every trial deletion.  The chain oracle
+tries every subsequence of the short non-contractible cycles.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import networkx as nx
 
-from cylcolor.embedding import EmbeddedGraph
+from cylcolor.embedding import EmbeddedGraph, canon_cycle, compress_rotations, _cycles_up_to
 
 COLORS = (1, 2, 3)
 
@@ -292,7 +293,7 @@ def reference_maximal_critical(g: EmbeddedGraph):
     """
     from cylcolor.coloring import ring_precolorings
     from cylcolor.errors import NothingToExtract
-    from cylcolor.surgery import _compress_table, _connected_after
+    from cylcolor.surgery import _connected_after
 
     target = _ref_members(g.rotations, g)
     if len(target) == sum(1 for _ in ring_precolorings(g)):
@@ -339,4 +340,47 @@ def reference_maximal_critical(g: EmbeddedGraph):
                 del rot[v]
                 changed = True
                 break
-    return _compress_table(rot, g.rings)
+    return compress_rotations(rot, g.rings)
+
+
+# ---------------------------------------------------------------------------
+# maximum chain length by trying every subsequence of cutting cycles
+# ---------------------------------------------------------------------------
+
+
+def max_chain_exhaustive(g: EmbeddedGraph) -> int:
+    """Brute-force maximum chain length by trying all cycle subsequences."""
+    from cylcolor.surgery import _chain_candidates
+
+    refs, sides = _chain_candidates(g)
+    ring1, ring2 = g.rings
+    byc = {canon_cycle(r.vertices): r.vertices for r in refs}
+    c0 = byc[canon_cycle(ring1)]
+    cn = byc[canon_cycle(ring2)]
+    if c0 == cn:
+        return 1
+    triangles = {canon_cycle(c) for c in _cycles_up_to(g, 3)}
+    middle = [r.vertices for r in refs if r.vertices not in (c0, cn)]
+    best = 0
+    for r in range(len(middle) + 1):
+        for sub in combinations(middle, r):
+            seq = [c0] + sorted(sub, key=lambda c: len(sides[c])) + [cn]
+            if {canon_cycle(c) for c in seq} >= triangles and _valid_chain_seq(seq, sides):
+                best = max(best, len(seq) - 1)
+    return best
+
+
+def _valid_chain_seq(seq, sides) -> bool:
+    for i in range(len(seq) - 1):
+        if not sides[seq[i]] < sides[seq[i + 1]]:
+            return False
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if set(seq[i]) & set(seq[j]):
+                endpair = (i, j) in ((0, 1), (len(seq) - 2, len(seq) - 1))
+                type_ok = (
+                    len(seq[i]) == 4 and len(seq[j]) == 3 and i in (0, len(seq) - 1)
+                ) or (len(seq[j]) == 4 and len(seq[i]) == 3 and j in (0, len(seq) - 1))
+                if not (endpair and type_ok):
+                    return False
+    return True

@@ -34,7 +34,7 @@ from cylcolor.coloring import (
 from cylcolor.embedding import is_tame, relabel, trace_faces
 from cylcolor.errors import DiagonalAdjacent, RingVertex
 from cylcolor.families import (
-    enumerate_framed_patched,
+    build_framed_patched,
     generate_hexagon_disks,
     generate_patches,
     generate_quad33,
@@ -46,10 +46,10 @@ from cylcolor.surgery import (
     audit_chain,
     chain_decompose,
     identify_across_face_mapped,
-    max_chain_exhaustive,
 )
 
 import fixtures
+from oracles import max_chain_exhaustive
 
 FULL = os.environ.get("CYLCOLOR_FULL_ACCEPTANCE") == "1"
 
@@ -75,10 +75,11 @@ def quad_corpus():
 
 @pytest.fixture(scope="module")
 def framed_matrix():
-    seen: dict[bytes, object] = {}
-    for g, recipe in enumerate_framed_patched(FRAMED_VERTEX_BOUND, FRAMED_PATCH_BOUND):
-        seen.setdefault(canonical_form(g), g)
-    return [seen[k] for k in sorted(seen)]
+    # The catalog keeps the first recipe of each canonical form from the
+    # same enumeration, so rebuilding its recipes in key order yields the
+    # deduplicated enumeration without enumerating a second time.
+    catalog = framed_patched_catalog(FRAMED_VERTEX_BOUND, FRAMED_PATCH_BOUND)
+    return [build_framed_patched(catalog[k]) for k in sorted(catalog)]
 
 
 def proper_ring_sixtuples():

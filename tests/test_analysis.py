@@ -342,6 +342,18 @@ def test_census_parallel_matches_serial():
     assert [r.line() for r in a.records] == [r.line() for r in b.records]
 
 
+def test_census_parallel_builds_no_catalog_for_nq_corpus():
+    # every quad33 graph is recognized structurally, so no worker needs the
+    # catalog and the parent process must not build it either
+    from cylcolor import analysis
+
+    key = (9, 0)  # a bound pair no other test builds
+    analysis._CATALOG_CACHE.pop(key, None)
+    report = census(generate_quad33(7), guard=14, catalog_bound=9, patch_bound=0, jobs=2)
+    assert all(r.verdict == "NQ" for r in report.records)
+    assert key not in analysis._CATALOG_CACHE
+
+
 def test_census_line_format():
     report = census([fixtures.prism()], guard=10, catalog_bound=8, patch_bound=1)
     line = report.records[0].line()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from cylcolor.coloring import (
@@ -11,6 +13,7 @@ from cylcolor.coloring import (
     members_over,
 )
 from cylcolor.embedding import (
+    CycleRef,
     EmbeddedGraph,
     canon_cycle,
     distance,
@@ -39,14 +42,13 @@ from cylcolor.surgery import (
     identify_across_face,
     identify_across_face_mapped,
     ladder_contract,
-    max_chain_exhaustive,
     maximal_critical_subgraph,
     _maximal_critical_mapped,
     shortest_layer_cycle,
 )
 
 import fixtures
-from oracles import reference_maximal_critical
+from oracles import max_chain_exhaustive, reference_maximal_critical
 
 
 def internal_quads(g: EmbeddedGraph):
@@ -350,6 +352,22 @@ def test_chain_exhaustive_matches_on_small():
         cd = chain_decompose(g)
         assert cd.n == max_chain_exhaustive(g), name
         assert audit_chain(g, cd) == [], name
+
+
+def test_audit_chain_reports_tampered_chains():
+    g = cylinder_grid(4, 5)
+    cd = chain_decompose(g)
+    assert cd.n >= 3
+    cycles = list(cd.cutting_cycles)
+    cycles[1], cycles[2] = cycles[2], cycles[1]
+    swapped = audit_chain(g, replace(cd, cutting_cycles=tuple(cycles)))
+    assert "cycle 1 fails to separate 0 from 2" in swapped
+    a, b, c, _ = cd.cutting_cycles[2].vertices
+    for bad in ((a, b, c), (a, b, g.n)):  # a missing edge, a vertex out of range
+        cycles = list(cd.cutting_cycles)
+        cycles[2] = CycleRef(bad, False)
+        broken = audit_chain(g, replace(cd, cutting_cycles=tuple(cycles)))
+        assert f"{bad} is not a cycle" in broken
 
 
 def test_chain_rejects_untame():
