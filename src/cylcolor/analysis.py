@@ -367,13 +367,16 @@ def census(
     neither construction: a would-be counterexample at its scale (the
     classification hypothesis needs ring distance beyond desk sizes, so
     flags are leads, not refutations).  Output order is canonical, so the
-    report does not depend on scheduling.
+    report does not depend on scheduling.  ``jobs`` above 1 runs the
+    graphs in a pool of at most ``jobs`` workers, and never more workers
+    than graphs.
     """
     work = [(g, guard, catalog_bound, patch_bound) for g in graphs]
-    if jobs > 1:
+    workers = min(jobs, len(work))
+    if workers > 1:
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(jobs) as pool:
+        with get_context("fork").Pool(workers) as pool:
             records = pool.map(_census_one, work)
     else:
         records = [_census_one(w) for w in work]

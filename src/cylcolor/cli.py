@@ -66,6 +66,17 @@ def _vertices_arg(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _jobs_arg(text: str) -> int:
+    """A --jobs value: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed worker count {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"worker count {jobs} is below 1")
+    return jobs
+
+
 def _parse_precolor(items: list[dict[int, int]]) -> dict[int, int]:
     out: dict[int, int] = {}
     for item in items:
@@ -358,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--guard", type=int, default=22)
     sp.add_argument("--catalog-bound", type=int, default=20)
     sp.add_argument("--patch-bound", type=int, default=4)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_jobs_arg, default=1)
     sp.set_defaults(func=_cmd_census)
 
     return p

@@ -14,6 +14,16 @@ deterministic.
 precolorings extend.  Deleting a vertex or an edge can only grow that
 set, so criticality tests and domination stop at the first precoloring
 that settles the answer instead of comparing whole sets.
+
+``extendable_set`` composes along the chain decomposition of a cylinder
+(``surgery.chain_decompose``): the pieces between consecutive cutting
+cycles share only those cycles, each of length at most 4, so the
+ring-to-ring relation is the composition of one small relation per
+piece, and a chain costs linear rather than exponential time in its
+length.  It falls back to ``extension_split`` on the whole graph when
+the decomposition does not apply (``InvalidParameter``, ``NotTame``,
+``AuditFailed``) or has a single piece.  The whole-graph search stays
+the oracle the tests compare the composition against.
 """
 
 from __future__ import annotations
@@ -22,7 +32,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .embedding import EmbeddedGraph, canon_cycle
-from .errors import ImproperPrecoloring, NoRings, RingMismatch
+from .errors import (
+    AuditFailed,
+    ImproperPrecoloring,
+    InvalidParameter,
+    NoRings,
+    NotTame,
+    RingMismatch,
+)
 
 COLORS = (1, 2, 3)
 _FULL = 0b111
@@ -215,11 +232,71 @@ def extension_split(adj, g: EmbeddedGraph):
 
 
 def extendable_set(g: EmbeddedGraph) -> ExtendableSet:
-    """Enumerate proper ring precolorings and keep those that extend."""
+    """The ring precolorings that extend to g.
+
+    Composed piece by piece along g's chain decomposition when it has at
+    least two pieces; otherwise every proper ring precoloring is searched
+    on the whole graph.
+    """
     if not g.rings:
         raise NoRings("graph has no rings")
-    members, _ = extension_split(g.rotations, g)
+    members = _members_by_chain(g)
+    if members is None:
+        members, _ = extension_split(g.rotations, g)
     return ExtendableSet(tuple(sorted(g.ring_vertices)), members)
+
+
+def _members_by_chain(g: EmbeddedGraph) -> frozenset[tuple[int, ...]] | None:
+    """Members of g's extendable set composed along its chain, or None
+    when g has no chain of at least two pieces.
+
+    Pieces meet only on their cutting cycles, so a ring precoloring
+    extends exactly when some coloring of the cutting cycles extends in
+    every piece.  The fold keeps, for each coloring of ring 1, the
+    colorings of the current cutting cycle that extend through the pieces
+    so far; each piece carries them one cycle further.  Colorings are
+    tuples along the cycle's vertex order, so cycles that share vertices
+    need no special case.
+    """
+    from . import surgery  # surgery builds on this module
+
+    try:
+        chain = surgery.chain_decompose(g)
+    except (InvalidParameter, NotTame, AuditFailed):
+        return None
+    if chain.n < 2:
+        return None
+    cycles = [c.vertices for c in chain.cutting_cycles]
+    steps = [
+        _piece_step(piece, remap, near, far)
+        for piece, remap, near, far in zip(chain.pieces, chain.vertex_maps, cycles, cycles[1:])
+    ]
+    reach = steps[0]
+    for step in steps[1:]:
+        reach = {
+            start: set().union(*(step.get(c, ()) for c in ends))
+            for start, ends in reach.items()
+        }
+    ends_first = cycles[0] + cycles[-1]
+    at = [ends_first.index(v) for v in sorted(g.ring_vertices)]
+    return frozenset(
+        tuple((start + end)[i] for i in at) for start, ends in reach.items() for end in ends
+    )
+
+
+def _piece_step(piece: EmbeddedGraph, remap, near, far):
+    """The extendable set of a piece as a map from colorings of its near
+    cycle to the colorings of its far cycle that extend with them.
+
+    ``remap`` sends the ids of ``near`` and ``far`` to the piece's ids.
+    """
+    pos = {v: i for i, v in enumerate(sorted(piece.ring_vertices))}
+    at_near = [pos[remap[v]] for v in near]
+    at_far = [pos[remap[v]] for v in far]
+    step: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for m in extension_split(piece.rotations, piece)[0]:
+        step.setdefault(tuple(m[i] for i in at_near), set()).add(tuple(m[i] for i in at_far))
+    return step
 
 
 def _ring_signature(g: EmbeddedGraph):

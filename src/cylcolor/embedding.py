@@ -149,9 +149,12 @@ class EmbeddedGraph:
 
     def _match_rings(self, faces: tuple[Cycle, ...]) -> tuple[int, ...]:
         candidates: list[list[int]] = []
+        n = len(self.rotations)
         for ring in self.rings:
             if len(ring) < 3 or len(set(ring)) != len(ring):
                 raise MalformedRotation(f"ring {ring} is not a cycle")
+            if min(ring) < 0 or max(ring) >= n:
+                raise MalformedRotation(f"ring {ring} has a vertex out of range")
             for a, b in zip(ring, ring[1:] + ring[:1]):
                 if b not in self.rotations[a]:
                     raise MalformedRotation(f"ring edge {a}-{b} missing")
@@ -481,6 +484,8 @@ def _parse_rows(rows: list[list[str]]) -> EmbeddedGraph:
             if len(verts) != length:
                 raise EMGParseError("ring length mismatch")
             rings.append(tuple(verts))
+        if n > len(rows) - idx:  # checked before the tables of size n are built
+            raise EMGParseError(f"{n} vertices but {len(rows) - idx} rot lines")
         rotations: list[tuple[int, ...]] = [()] * n
         seen = [False] * n
         for _ in range(n):

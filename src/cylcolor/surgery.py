@@ -562,10 +562,15 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
 
 @dataclass(frozen=True)
 class ChainDecomposition:
-    """Cutting cycles and the sub-cylinders between consecutive ones."""
+    """Cutting cycles and the sub-cylinders between consecutive ones.
+
+    ``vertex_maps[i]`` sends the ids of g that lie in ``pieces[i]`` to
+    the piece's own ids (increasing, as compression keeps order).
+    """
 
     cutting_cycles: tuple[CycleRef, ...]
     pieces: tuple[EmbeddedGraph, ...]
+    vertex_maps: tuple[dict[int, int], ...]
 
     @property
     def n(self) -> int:
@@ -661,13 +666,13 @@ def chain_decompose(g: EmbeddedGraph) -> ChainDecomposition:
         raise AuditFailed("no valid chain found")
     path = best[cn][1]
     cycles = tuple(CycleRef(c, False) for c in path)
-    pieces = tuple(
-        _piece_between(g, path[i], path[i + 1], sides) for i in range(len(path) - 1)
+    pieces, maps = zip(
+        *(_piece_between(g, path[i], path[i + 1], sides) for i in range(len(path) - 1))
     )
-    return ChainDecomposition(cycles, pieces)
+    return ChainDecomposition(cycles, pieces, maps)
 
 
-def _piece_between(g, x: Cycle, y: Cycle, sides) -> EmbeddedGraph:
+def _piece_between(g, x: Cycle, y: Cycle, sides) -> tuple[EmbeddedGraph, dict[int, int]]:
     region = sides[y] - sides[x]
     rot: dict[int, list[int]] = {}
     cyc_edges = set()
@@ -689,8 +694,7 @@ def _piece_between(g, x: Cycle, y: Cycle, sides) -> EmbeddedGraph:
     keep = set(rot)
     for v in keep:
         rot[v] = [u for u in rot[v] if u in keep]
-    piece, _ = compress_rotations(rot, (x, y))
-    return piece
+    return compress_rotations(rot, (x, y))
 
 
 def audit_chain(g: EmbeddedGraph, chain: ChainDecomposition) -> list[str]:

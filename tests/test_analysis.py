@@ -360,3 +360,37 @@ def test_census_line_format():
     assert line.startswith("canon=")
     for key in ("tame=", "critical=", "verdict=", "def_int=", "chain="):
         assert key in line
+
+
+def test_census_pool_is_capped_at_corpus_size(monkeypatch):
+    # a stand-in context records the pool size asked for and runs the
+    # work in this process, so no worker is ever started
+    import multiprocessing
+
+    requested = []
+
+    class InlinePool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    class InlineContext:
+        Pool = InlinePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext())
+    graphs = generate_quad33(7)[:3]
+    serial = census(graphs, guard=14, catalog_bound=10, patch_bound=1)
+    for jobs in (2, 3, 10**6):
+        report = census(graphs, guard=14, catalog_bound=10, patch_bound=1, jobs=jobs)
+        assert report.lines() == serial.lines()
+    assert requested == [2, 3, 3]
+    census(graphs[:1], guard=14, catalog_bound=10, patch_bound=1, jobs=8)
+    assert requested == [2, 3, 3]  # one graph runs in process

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import sys
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylcolor.cli import main
 from cylcolor.embedding import emit_emg, parse_emg, parse_emg_stream
+from cylcolor.families import near_quad33
 
 import fixtures
 
@@ -286,3 +294,83 @@ def test_classify_past_catalog_bound_is_unknown(capsys, monkeypatch):
     assert code == 1
     assert out.strip() == "verdict=UNKNOWN"
     assert "catalog bound 6" in err
+
+
+def _bad_ring_text() -> str:
+    # a 7-vertex map whose first ring names vertex 7
+    lines = emit_emg(near_quad33(fixtures.prism(), ((0, 1), None))).splitlines()
+    lines[3] = "ring 4 7 4 6 3"
+    return "\n".join(lines) + "\n"
+
+
+def test_ring_vertex_out_of_range_exit_code(tmp_path, capsys, monkeypatch):
+    other = tmp_path / "prism.emg"
+    other.write_text(emit_emg(fixtures.prism()))
+    verbs = [
+        ["faces"], ["color"], ["count"], ["extendset"], ["critical"], ["chain"],
+        ["classify", "--catalog-bound", "10", "--patch-bound", "0"],
+        ["dominates", "--other", str(other)],
+        ["identify", "--face", "0,1,2,3"],
+        ["contract-ladder", "--q2", "0,1,2,3", "--q3", "4,5,6,7"],
+        ["cut", "--d0", "3"],
+        ["attach-ring", "--vertex", "0"],
+        ["census", "--family", "stdin"],
+    ]
+    for argv in verbs:
+        code, out, err = run(capsys, argv, stdin=_bad_ring_text(), monkeypatch=monkeypatch)
+        assert code == 2, argv
+        assert "error: ring (7, 4, 6, 3) has a vertex out of range" in err, argv
+        assert "Traceback" not in err
+
+
+def test_census_jobs_below_one_is_usage_error(capsys):
+    for bad in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as err:
+            main(["census", "--family", "quad33", "--jobs", bad])
+        assert err.value.code == 2
+        assert "error: argument --jobs" in capsys.readouterr().err
+
+
+# -- exit-code contract under mutated input ---------------------------------------
+
+_FUZZ_SEEDS = [
+    emit_emg(fixtures.prism()),
+    emit_emg(near_quad33(fixtures.prism(), ((0, 1), None))),
+    emit_emg(fixtures.c4_disk()),
+]
+_FUZZ_VERBS = [
+    ["faces"], ["count"], ["extendset"], ["critical"], ["chain"], ["color"],
+    ["classify", "--catalog-bound", "10", "--patch-bound", "0"],
+]
+_EDIT = st.tuples(
+    st.sampled_from("rdi"),  # replace, delete, insert
+    st.integers(0, 10**6),
+    st.sampled_from("0123456789 \n-:#emgrotinvs"),
+)
+
+
+def _mutate(text: str, edits) -> str:
+    for kind, at, ch in edits:
+        i = at % (len(text) + 1)
+        if kind == "r":
+            text = text[:i] + ch + text[i + 1 :]
+        elif kind == "d":
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + ch + text[i:]
+    return text
+
+
+@given(
+    st.sampled_from(_FUZZ_SEEDS),
+    st.lists(_EDIT, min_size=1, max_size=4),
+    st.sampled_from(_FUZZ_VERBS),
+)
+@settings(max_examples=300, deadline=None)
+def test_exit_code_contract_on_mutated_input(text, edits, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(_mutate(text, edits))):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

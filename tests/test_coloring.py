@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from itertools import permutations, product
 
 import pytest
@@ -15,12 +17,21 @@ from cylcolor.coloring import (
     dominates_under,
     extend,
     extendable_set,
+    extension_split,
     ring_precolorings,
     _ring_signature,
 )
 from cylcolor.embedding import EmbeddedGraph, relabel
 from cylcolor.errors import ImproperPrecoloring, NoRings, RingMismatch
-from cylcolor.families import cylinder_grid
+from cylcolor import surgery
+from cylcolor.families import (
+    cylinder_grid,
+    generate_quad33,
+    near_quad33,
+    reduced_thomas_walls,
+    subdivision_choices,
+)
+from cylcolor.surgery import audit_chain
 
 import fixtures
 from oracles import brute_count, brute_ring_members, reference_count, reference_first
@@ -192,6 +203,83 @@ def test_extendable_set_matches_brute_force_on_corpus():
         if g.n > 12:
             continue
         assert extendable_set(g).members == brute_ring_members(g), name
+
+
+def _composition_corpus() -> list[tuple[str, EmbeddedGraph]]:
+    out = [(f"quad33-{i}", q) for i, q in enumerate(generate_quad33(9))]
+    for i, q in enumerate(generate_quad33(8)):
+        for choice in subdivision_choices(q):
+            if choice != (None, None):
+                out.append((f"near-quad33-{i}-{choice}", near_quad33(q, choice)))
+    out += [(f"C4xP{k}", cylinder_grid(4, k)) for k in range(3, 9)]
+    out += [(f"tube{k}", fixtures.penta_tube(k)) for k in (2, 3)]
+    return out + fixtures.cylinder_corpus()
+
+
+def _direct(g: EmbeddedGraph) -> frozenset:
+    """Whole-graph search, the fallback route: the composition's oracle."""
+    return extension_split(g.rotations, g)[0]
+
+
+def _recording_chains(monkeypatch) -> list:
+    """Record every (graph, chain) that extendable_set decomposes."""
+    seen = []
+    real = surgery.chain_decompose
+
+    def chain_decompose(g):
+        chain = real(g)
+        seen.append((g, chain))
+        return chain
+
+    monkeypatch.setattr(surgery, "chain_decompose", chain_decompose)
+    return seen
+
+
+def test_composed_extendable_set_matches_direct_search(monkeypatch):
+    chains = _recording_chains(monkeypatch)
+    rng = random.Random(4)
+    composed = 0
+    for name, g in _composition_corpus():
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        del chains[:]
+        es = extendable_set(h)
+        assert es.ring_domain == tuple(sorted(h.ring_vertices)), name
+        assert es.members == _direct(h), name
+        for seen, chain in chains:
+            assert audit_chain(seen, chain) == [], name
+        composed += any(chain.n >= 2 for _, chain in chains)
+    assert composed >= 140  # graphs whose chain has at least two pieces
+
+
+def test_composed_thomas_walls_chains_match_direct_search(monkeypatch):
+    chains = _recording_chains(monkeypatch)
+    for n in range(5, 14):
+        g, _ = reduced_thomas_walls(n)
+        assert extendable_set(g).members == _direct(g), n
+        assert [chain.n >= 2 for _, chain in chains] == [True]
+        assert audit_chain(g, chains.pop()[1]) == []
+
+
+def _by_ring_position(g: EmbeddedGraph, members) -> frozenset:
+    """Members as tuples along ring 1, then ring 2."""
+    domain = sorted(g.ring_vertices)
+    at = [domain.index(v) for v in g.rings[0] + g.rings[1]]
+    return frozenset(tuple(m[i] for i in at) for m in members)
+
+
+def test_long_thomas_walls_chains_by_composition():
+    # from four links on, the ring-to-ring relation no longer changes
+    g4, _ = reduced_thomas_walls(4)
+    want = _by_ring_position(g4, _direct(g4))
+    assert len(want) == 180
+    for n in (20, 50, 100):
+        g, _ = reduced_thomas_walls(n)
+        start = time.perf_counter()
+        members = extendable_set(g).members
+        assert time.perf_counter() - start < 5.0, n
+        assert _by_ring_position(g, members) == want, n
 
 
 def test_no_rings_error():

@@ -28,7 +28,7 @@ from cylcolor.errors import (
     MalformedRotation,
     NotACycle,
 )
-from cylcolor.families import cylinder_grid
+from cylcolor.families import cylinder_grid, near_quad33
 
 import fixtures
 from oracles import nx_cycles, to_nx
@@ -75,6 +75,26 @@ def test_rejects_ring_not_a_face():
     # a ring with a missing edge is rejected as well
     with pytest.raises(MalformedRotation):
         EmbeddedGraph(prism.rotations, rings=((0, 1, 2, 3),))
+
+
+def test_rejects_ring_vertex_out_of_range():
+    rot = fixtures.prism().rotations
+    for ring in ((0, 1, 6), (0, 1, 2, 9), (-1, 0, 1)):
+        with pytest.raises(MalformedRotation, match="out of range"):
+            EmbeddedGraph(rot, rings=(ring,))
+    # the same through the EMG parser, on a 7-vertex map
+    text = emit_emg(near_quad33(fixtures.prism(), ((0, 1), None)))
+    lines = text.splitlines()
+    lines[3] = "ring 4 7 4 6 3"
+    with pytest.raises(MalformedRotation, match="out of range"):
+        parse_emg("\n".join(lines) + "\n")
+
+
+def test_parse_rejects_vertex_count_beyond_rot_lines():
+    # refused before any table of that size is built
+    text = emit_emg(fixtures.prism()).replace("vertices 6", "vertices 600000000000")
+    with pytest.raises(EMGParseError, match="rot lines"):
+        parse_emg(text)
 
 
 def test_rejects_three_rings():
