@@ -13,7 +13,11 @@ from .embedding import EmbeddedGraph, canon_cycle
 
 
 def _transcript(g: EmbeddedGraph, u0: int, v0: int, flip: bool, best):
-    """BFS relabeling transcript from a root dart; None if it exceeds best."""
+    """BFS relabeling transcript from a root dart; None if it exceeds best.
+
+    While the transcript ties with best, only the entries appended for
+    each vertex are compared, so a root costs linear time.
+    """
     rotations = g.rotations
     n = g.n
     labels = [-1] * n
@@ -22,6 +26,7 @@ def _transcript(g: EmbeddedGraph, u0: int, v0: int, flip: bool, best):
     entry[u0] = v0
     labels[u0] = 0
     code: list[int] = []
+    tied = best is not None  # code equals the prefix of best so far
     i = 0
     while i < len(order):
         v = order[i]
@@ -30,6 +35,7 @@ def _transcript(g: EmbeddedGraph, u0: int, v0: int, flip: bool, best):
         if flip:
             rot = tuple(reversed(rot))
         s = rot.index(entry[v])
+        start = len(code)
         code.append(len(rot))
         for k in range(len(rot)):
             w = rot[(s + k) % len(rot)]
@@ -38,10 +44,13 @@ def _transcript(g: EmbeddedGraph, u0: int, v0: int, flip: bool, best):
                 order.append(w)
                 entry[w] = v
             code.append(labels[w])
-        if best is not None:
-            m = len(code)
-            if code[:m] > best[:m]:
-                return None, None
+        if tied:
+            for k in range(start, len(code)):
+                if code[k] != best[k]:
+                    if code[k] > best[k]:
+                        return None, None
+                    tied = False
+                    break
     return code, labels
 
 

@@ -140,14 +140,14 @@ class EmbeddedGraph:
 
         if len(self.rings) > 2:
             raise MalformedRotation("at most two holes are supported")
-        ring_faces = self._match_rings(faces)
+        ring_faces = self._match_rings(faces, dart_face)
 
         object.__setattr__(self, "_faces", faces)
         object.__setattr__(self, "_dart_face", dart_face)
         object.__setattr__(self, "_ring_faces", ring_faces)
         object.__setattr__(self, "_adj", tuple(frozenset(s) for s in nbr_sets))
 
-    def _match_rings(self, faces: tuple[Cycle, ...]) -> tuple[int, ...]:
+    def _match_rings(self, faces: tuple[Cycle, ...], dart_face: dict) -> tuple[int, ...]:
         candidates: list[list[int]] = []
         n = len(self.rotations)
         for ring in self.rings:
@@ -158,11 +158,13 @@ class EmbeddedGraph:
             for a, b in zip(ring, ring[1:] + ring[:1]):
                 if b not in self.rotations[a]:
                     raise MalformedRotation(f"ring edge {a}-{b} missing")
+            # a face bounded by the ring traverses its edge r0-r1 one way
             rc = canon_cycle(ring)
+            at_edge = {dart_face[(ring[0], ring[1])], dart_face[(ring[1], ring[0])]}
             matches = [
                 i
-                for i, f in enumerate(faces)
-                if len(f) == len(ring) and canon_cycle(f) == rc
+                for i in sorted(at_edge)
+                if len(faces[i]) == len(ring) and canon_cycle(faces[i]) == rc
             ]
             if not matches:
                 raise MalformedRotation(f"ring {ring} is not a face boundary")
@@ -291,6 +293,13 @@ def distance(g: EmbeddedGraph, h1: Iterable[int], h2: Iterable[int]) -> float:
 
     Returns math.inf when no path exists.
     """
+    return adjacency_distance(g.rotations, h1, h2)
+
+
+def adjacency_distance(
+    adj: Sequence[Iterable[int]], h1: Iterable[int], h2: Iterable[int]
+) -> float:
+    """distance() on plain neighbor lists, for a graph not yet validated as a map."""
     src = set(h1)
     dst = set(h2)
     if not src or not dst:
@@ -301,7 +310,7 @@ def distance(g: EmbeddedGraph, h1: Iterable[int], h2: Iterable[int]) -> float:
     queue = deque(src)
     while queue:
         v = queue.popleft()
-        for u in g.rotations[v]:
+        for u in adj[v]:
             if u not in dist:
                 dist[u] = dist[v] + 1
                 if u in dst:

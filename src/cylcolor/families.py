@@ -6,7 +6,11 @@ surgeries, 3,3-quadrangulations of the cylinder and their near variants,
 pendant-ring attachment, and cylindrical grids used as fixtures.
 
 Generators are exhaustive and isomorph-free: labeled enumeration with a
-fixed derivation order, deduplicated by canonical form.
+fixed derivation order, deduplicated by canonical form.  The quad33
+generator glues a filled disk back into a cylinder only when the cut it
+closes is a shortest path between the rings; longer cuts re-derive graphs
+that an earlier, shorter cut already gave, so the first representative of
+each class is unchanged.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from ._canon import canonical_form
 from .embedding import (
     Cycle,
     EmbeddedGraph,
+    adjacency_distance,
     compress_rotations,
     reflected,
     rotation_system_from_faces,
@@ -326,6 +331,9 @@ def _fill_disk(
             rec(rest + keep, faces + [(a, b, c, d)], edges | set(new_edges), nxt)
 
     rec([list(range(B))], [], edges0, B)
+    # rec refers to itself through its closure; break that cycle, or it
+    # keeps results alive after the caller drops them, until a collection
+    del rec
     return results
 
 
@@ -529,20 +537,16 @@ def _glue_quad33(faces: tuple[Cycle, ...], n_total: int, L: int) -> EmbeddedGrap
 
     The disk boundary (length 6+2L) is read as: triangle 1 cut open at a
     (positions 0..3), the cut path (3..3+L), triangle 2 cut open at b
-    (3+L..6+L), and the second copy of the cut path back to a.
+    (3+L..6+L), and the second copy of the cut path back to a.  Returns
+    None unless the glued cut is a shortest path between the rings (their
+    distance is L), and None for a gluing that is not a map.
     """
     B = 6 + 2 * L
-    edges = set()
-    for f in faces:
-        for i in range(len(f)):
-            edges.add(frozenset((f[i], f[(i + 1) % len(f)])))
-    pairs = [(3 + j, (6 + 2 * L - j) % B) for j in range(L + 1)]
     nu = list(range(n_total))
     removed = set()
-    for p, q in pairs:
+    for j in range(L + 1):
+        p, q = 3 + j, (6 + 2 * L - j) % B
         keep, drop = (q, p) if q == 0 else (p, q)
-        if frozenset((p, q)) in edges:
-            return None  # would glue to a loop
         nu[drop] = keep
         removed.add(drop)
     survivors = [v for v in range(n_total) if v not in removed]
@@ -550,12 +554,24 @@ def _glue_quad33(faces: tuple[Cycle, ...], n_total: int, L: int) -> EmbeddedGrap
     remap = [dense[nu[v]] for v in range(n_total)]
 
     glued_faces = [tuple(remap[v] for v in f) for f in faces]
-    hole1 = tuple(remap[v] for v in (0, 2, 1))
-    hole2 = tuple(remap[v] for v in (3 + L, 5 + L, 4 + L))
+    adj: list[list[int]] = [[] for _ in survivors]
+    for f in glued_faces:
+        for i in range(len(f)):
+            u, v = f[i - 1], f[i]
+            if u == v:
+                return None  # a glued pair was joined by an edge: a loop
+            adj[u].append(v)
+            adj[v].append(u)
+    ring1 = tuple(remap[v] for v in (0, 1, 2))
+    ring2 = tuple(remap[v] for v in (3 + L, 4 + L, 5 + L))
+    # the cut path joins the rings, so their distance is at most L; a
+    # shorter one means this graph is also glued from a shorter cut
+    if adjacency_distance(adj, ring1, ring2) != L:
+        return None
+    hole1 = (ring1[0], ring1[2], ring1[1])
+    hole2 = (ring2[0], ring2[2], ring2[1])
     try:
         rot = rotation_system_from_faces(glued_faces + [hole1, hole2], len(survivors))
-        ring1 = tuple(remap[v] for v in (0, 1, 2))
-        ring2 = tuple(remap[v] for v in (3 + L, 4 + L, 5 + L))
         return EmbeddedGraph(rot, rings=(ring1, ring2))
     except CylColorError:
         return None
@@ -567,7 +583,12 @@ def generate_quad33(max_vertices: int) -> list[EmbeddedGraph]:
     Exhaustive and isomorph-free up to max_vertices.  Every member is
     obtained by cutting along a shortest path between the rings and
     quadrangulating the resulting disk, so iterating over all cut
-    lengths and all disk fillings reaches everything.
+    lengths and all disk fillings reaches everything.  Only gluings
+    whose cut length L equals the ring distance are built: a longer cut
+    only re-derives a graph.  Cut lengths ascend and no cut is shorter
+    than the ring distance, so the first derivation of each class is a
+    shortest cut, and the kept representatives are those of the
+    unfiltered enumeration.
     """
     if max_vertices < 6:
         raise InvalidParameter("max_vertices must be >= 6")

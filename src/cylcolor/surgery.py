@@ -583,8 +583,20 @@ def _hole1_side(g: EmbeddedGraph, cyc: Cycle) -> frozenset[int]:
 
 
 def _chain_candidates(g: EmbeddedGraph):
-    refs = enumerate_short_cycles(g, 4, only_noncontractible=True)
-    sides = {r.vertices: _hole1_side(g, r.vertices) for r in refs}
+    """The non-contractible (<= 4)-cycles, and the faces on ring 1's side of each.
+
+    One face split per cycle gives both: the cycle is non-contractible
+    exactly when the two holes fall on different sides.
+    """
+    hole1, hole2 = g.faces.ring_faces
+    refs: list[CycleRef] = []
+    sides: dict[Cycle, frozenset[int]] = {}
+    for c in _cycles_up_to(g, 4):
+        side_a, side_b = _face_sides(g, c)
+        if (hole1 in side_a) == (hole2 in side_a):
+            continue
+        refs.append(CycleRef(c, False))
+        sides[c] = frozenset(side_a if hole1 in side_a else side_b)
     return refs, sides
 
 

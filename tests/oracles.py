@@ -6,7 +6,10 @@ from the networkx atlas and try every rotation system.  The reference
 solver is the library's former recursive kernel (same branching order,
 so the same first solution), and the criticality references compare
 whole extendable sets after every trial deletion.  The chain oracle
-tries every subsequence of the short non-contractible cycles.
+tries every subsequence of the short non-contractible cycles.  The
+canonical-form, hole-face and quad33 references are the library's former
+versions: whole-prefix transcript comparison, a scan of every face, and
+gluing every cut of every length.
 """
 
 from __future__ import annotations
@@ -384,3 +387,132 @@ def _valid_chain_seq(seq, sides) -> bool:
                 if not (endpair and type_ok):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# canonical form comparing whole transcript prefixes after every vertex
+# ---------------------------------------------------------------------------
+
+
+def _ref_transcript(g: EmbeddedGraph, u0: int, v0: int, flip: bool, best):
+    rotations = g.rotations
+    labels = [-1] * g.n
+    order = [u0]
+    entry = [-1] * g.n
+    entry[u0] = v0
+    labels[u0] = 0
+    code: list[int] = []
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
+        rot = rotations[v]
+        if flip:
+            rot = tuple(reversed(rot))
+        s = rot.index(entry[v])
+        code.append(len(rot))
+        for k in range(len(rot)):
+            w = rot[(s + k) % len(rot)]
+            if labels[w] < 0:
+                labels[w] = len(order)
+                order.append(w)
+                entry[w] = v
+            code.append(labels[w])
+        if best is not None:
+            m = len(code)
+            if code[:m] > best[:m]:
+                return None, None
+    return code, labels
+
+
+def reference_canonical_form(g: EmbeddedGraph) -> bytes:
+    """The library's canonical encoding, with O(n) prefix copies per vertex."""
+    hits = [0] * g.n
+    for ring in g.rings:
+        for v in ring:
+            hits[v] += 1
+    inv = [(len(g.rotations[v]), hits[v]) for v in range(g.n)]
+    best_key = None
+    roots: list[tuple[int, int]] = []
+    for u in range(g.n):
+        for v in g.rotations[u]:
+            key = (inv[u], inv[v])
+            if best_key is None or key < best_key:
+                best_key, roots = key, [(u, v)]
+            elif key == best_key:
+                roots.append((u, v))
+    best = None
+    for u0, v0 in roots:
+        for flip in (False, True):
+            code, labels = _ref_transcript(g, u0, v0, flip, best)
+            if code is None:
+                continue
+            rings = sorted(canon_cycle([labels[v] for v in ring]) for ring in g.rings)
+            for ring in rings:
+                code.append(-1)
+                code.extend(ring)
+            if best is None or code < best:
+                best = code
+    return ",".join(map(str, best)).encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# hole faces by scanning every face of the map
+# ---------------------------------------------------------------------------
+
+
+def reference_ring_faces(g: EmbeddedGraph) -> tuple[int, ...]:
+    """Hole face indices: every face equal to the ring, first distinct pair."""
+    faces = g.faces.faces
+    candidates = [
+        [i for i, f in enumerate(faces) if canon_cycle(f) == canon_cycle(ring)]
+        for ring in g.rings
+    ]
+    if len(candidates) <= 1:
+        return tuple(c[0] for c in candidates)
+    return next((i, j) for i in candidates[0] for j in candidates[1] if i != j)
+
+
+# ---------------------------------------------------------------------------
+# 3,3-quadrangulations gluing every cut, shortest or not
+# ---------------------------------------------------------------------------
+
+
+def _ref_glue_quad33(faces, n_total: int, L: int):
+    from cylcolor.embedding import rotation_system_from_faces
+    from cylcolor.errors import CylColorError
+
+    B = 6 + 2 * L
+    edges = {frozenset((f[i], f[(i + 1) % len(f)])) for f in faces for i in range(len(f))}
+    nu = list(range(n_total))
+    removed = set()
+    for j in range(L + 1):
+        p, q = 3 + j, (6 + 2 * L - j) % B
+        if frozenset((p, q)) in edges:
+            return None
+        keep, drop = (q, p) if q == 0 else (p, q)
+        nu[drop] = keep
+        removed.add(drop)
+    survivors = [v for v in range(n_total) if v not in removed]
+    dense = {old: new for new, old in enumerate(survivors)}
+    remap = [dense[nu[v]] for v in range(n_total)]
+    glued = [tuple(remap[v] for v in f) for f in faces]
+    holes = [tuple(remap[v] for v in (0, 2, 1)), tuple(remap[v] for v in (3 + L, 5 + L, 4 + L))]
+    rings = (tuple(remap[v] for v in (0, 1, 2)), tuple(remap[v] for v in (3 + L, 4 + L, 5 + L)))
+    try:
+        rot = rotation_system_from_faces(glued + holes, len(survivors))
+        return EmbeddedGraph(rot, rings=rings)
+    except CylColorError:
+        return None
+
+
+def reference_quad33(max_vertices: int) -> list[EmbeddedGraph]:
+    """generate_quad33 building and deduplicating the gluing of every cut."""
+    from cylcolor.families import _fill_disk, _isomorph_free
+
+    glued = (
+        _ref_glue_quad33(faces, n_total, L)
+        for L in range(1, max_vertices - 4)
+        for faces, n_total in _fill_disk(6 + 2 * L, max_vertices - 5 - L)
+    )
+    return _isomorph_free(g for g in glued if g is not None and g.n <= max_vertices)

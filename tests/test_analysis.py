@@ -40,7 +40,7 @@ from cylcolor.families import (
 )
 
 import fixtures
-from oracles import reference_is_critical
+from oracles import reference_canonical_form, reference_is_critical
 
 
 # -- criticality ------------------------------------------------------------------
@@ -214,6 +214,20 @@ def test_canonical_distinguishes():
     # same abstract graph, different hole designation
     g = cylinder_grid(4, 2)
     assert canonical_form(g) != canonical_form(g.with_rings((g.rings[0],)))
+
+
+def test_canonical_form_matches_prefix_reference():
+    # the corpus holds every quad33 graph on <= 8 vertices
+    graphs = [g for _, g in fixtures.cylinder_corpus()]
+    graphs += [cylinder_grid(20, 20), reduced_thomas_walls(20)[0]]
+    rng = random.Random(17)
+    for g in graphs:
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            assert canonical_form(h) == reference_canonical_form(h)
+        assert canonical_form(g) == reference_canonical_form(g)
 
 
 @given(st.randoms(use_true_random=False))

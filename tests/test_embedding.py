@@ -28,10 +28,10 @@ from cylcolor.errors import (
     MalformedRotation,
     NotACycle,
 )
-from cylcolor.families import cylinder_grid, near_quad33
+from cylcolor.families import cylinder_grid, generate_hexagon_disks, generate_patches, near_quad33
 
 import fixtures
-from oracles import nx_cycles, to_nx
+from oracles import nx_cycles, reference_ring_faces, to_nx
 
 import networkx as nx
 
@@ -95,6 +95,24 @@ def test_parse_rejects_vertex_count_beyond_rot_lines():
     text = emit_emg(fixtures.prism()).replace("vertices 6", "vertices 600000000000")
     with pytest.raises(EMGParseError, match="rot lines"):
         parse_emg(text)
+
+
+def test_ring_faces_match_full_scan():
+    cycle = fixtures.c4_disk()
+    graphs = [g for _, g in fixtures.cylinder_corpus()]
+    graphs += generate_hexagon_disks(2) + generate_patches(2)
+    # both faces of a lone 4-cycle bound each ring: the tie-break decides
+    graphs += [
+        EmbeddedGraph(cycle.rotations, rings=((0, 1, 2, 3), (0, 1, 2, 3))),
+        EmbeddedGraph(cycle.rotations, rings=((0, 1, 2, 3), (3, 2, 1, 0))),
+        cycle,
+    ]
+    rng = random.Random(5)
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for h in (g, relabel(g, perm)):
+            assert h.faces.ring_faces == reference_ring_faces(h)
 
 
 def test_rejects_three_rings():

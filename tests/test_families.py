@@ -10,6 +10,7 @@ from cylcolor.embedding import (
     EmbeddedGraph,
     canon_cycle,
     distance,
+    emit_emg,
     enumerate_short_cycles,
     is_tame,
     trace_faces,
@@ -40,7 +41,7 @@ from cylcolor.families import (
 )
 
 import fixtures
-from oracles import atlas_quad33_count, brute_count
+from oracles import atlas_quad33_count, brute_count, reference_quad33
 
 
 # -- Thomas-Walls chain ---------------------------------------------------------
@@ -293,6 +294,17 @@ def test_quad33_six_vertices():
 
 def test_quad33_matches_atlas_oracle_up_to_7():
     assert len(generate_quad33(7)) == atlas_quad33_count(7)
+
+
+def test_quad33_class_counts():
+    assert [len(generate_quad33(n)) for n in range(6, 10)] == [2, 10, 58, 346]
+
+
+def test_quad33_matches_unfiltered_reference():
+    # same representatives in the same order as gluing every cut
+    for n in range(6, 10):
+        got = [emit_emg(g) for g in generate_quad33(n)]
+        assert got == [emit_emg(g) for g in reference_quad33(n)]
 
 
 def test_quad33_members_validate():
