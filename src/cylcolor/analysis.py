@@ -35,7 +35,7 @@ from .families import (
     enumerate_framed_patched,
     near_quad33_decomposition,
 )
-from .surgery import chain_decompose
+from .surgery import _deletion_adjacency, chain_decompose
 
 __all__ = [
     "CriticalityReport",
@@ -96,27 +96,20 @@ def is_critical(g: EmbeddedGraph, guard: int = 22) -> CriticalityReport:
     )
     if not extra_vertex and not extra_edges:
         return CriticalityReport(False, ("equals-rings", None))
-    _, blocked = extension_split(g.rotations, g)
+    _, blocked = extension_split(g)
 
     def unchanged(adj) -> bool:
         # A deletion can only add members, so it is felt exactly when
         # some precoloring blocked in g extends.
         return all(_solve_first(adj, fixed) is None for _, fixed in blocked)
 
+    rows = dict(enumerate(g.rotations))
     for v in extra_vertex:
-        adj = [
-            tuple(u for u in row if u != v) if w != v else ()
-            for w, row in enumerate(g.rotations)
-        ]
-        if unchanged(adj):
+        if unchanged(_deletion_adjacency(rows, vertex=v)):
             return CriticalityReport(False, ("vertex", v))
-    for u, v in extra_edges:
-        adj = [
-            tuple(x for x in row if not (w == u and x == v) and not (w == v and x == u))
-            for w, row in enumerate(g.rotations)
-        ]
-        if unchanged(adj):
-            return CriticalityReport(False, ("edge", (u, v)))
+    for e in extra_edges:
+        if unchanged(_deletion_adjacency(rows, edge=e)):
+            return CriticalityReport(False, ("edge", e))
     return CriticalityReport(True, None)
 
 

@@ -10,20 +10,16 @@ vertex with the fewest available colors (smallest id on ties) and tries
 colors in increasing order, which makes the first reported solution
 deterministic.
 
-``extension_split`` is the one place that decides which ring
-precolorings extend.  Deleting a vertex or an edge can only grow that
-set, so criticality tests and domination stop at the first precoloring
-that settles the answer instead of comparing whole sets.
-
-``extendable_set`` composes along the chain decomposition of a cylinder
-(``surgery.chain_decompose``): the pieces between consecutive cutting
-cycles share only those cycles, each of length at most 4, so the
-ring-to-ring relation is the composition of one small relation per
-piece, and a chain costs linear rather than exponential time in its
-length.  It falls back to ``extension_split`` on the whole graph when
-the decomposition does not apply (``InvalidParameter``, ``NotTame``,
-``AuditFailed``) or has a single piece.  The whole-graph search stays
-the oracle the tests compare the composition against.
+``extend`` and ``count_colorings`` ask the kernel for one coloring or
+all of them.  Which ring precolorings extend is a relation, and one
+frontier sweep computes it (the transfer-matrix method for strips;
+dynamic programming over the path decomposition that a BFS order from
+ring 1 gives): ``extendable_set``, ``extension_split`` and domination
+all read it.  Its cost grows with the widest BFS layer, not with the
+number of ring precolorings, so long chains and tubes stay linear in
+their length.  Criticality re-tests single deletions with the kernel:
+a deletion can only grow the extendable set, so only the precolorings
+blocked in the base graph are tried, up to the first one that extends.
 """
 
 from __future__ import annotations
@@ -32,14 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .embedding import EmbeddedGraph, canon_cycle
-from .errors import (
-    AuditFailed,
-    ImproperPrecoloring,
-    InvalidParameter,
-    NoRings,
-    NotTame,
-    RingMismatch,
-)
+from .errors import ImproperPrecoloring, NoRings, RingMismatch
 
 COLORS = (1, 2, 3)
 _FULL = 0b111
@@ -193,6 +182,19 @@ def count_colorings(g: EmbeddedGraph, psi: Precoloring) -> int:
     return _solve_count(g.rotations, psi.assignments)
 
 
+def _proper_tuples(earlier: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Color tuples, in lexicographic order, in which position j differs
+    from every earlier position listed in ``earlier[j]``."""
+    combos: list[tuple[int, ...]] = [()]
+    for before in earlier:
+        longer = []
+        for combo in combos:
+            used = {combo[i] for i in before}
+            longer.extend(combo + (c,) for c in COLORS if c not in used)
+        combos = longer
+    return combos
+
+
 def ring_precolorings(g: EmbeddedGraph) -> Iterable[tuple[tuple[int, ...], dict[int, int]]]:
     """Total ring precolorings proper on the ring cycles, in lexicographic order."""
     domain = tuple(sorted(g.ring_vertices))
@@ -202,119 +204,102 @@ def ring_precolorings(g: EmbeddedGraph) -> Iterable[tuple[tuple[int, ...], dict[
         for a, b in zip(ring, ring[1:] + ring[:1]):
             i, j = sorted((pos[a], pos[b]))
             earlier[j].append(i)
-    combos: list[tuple[int, ...]] = [()]
-    for before in earlier:
-        longer = []
-        for combo in combos:
-            used = {combo[i] for i in before}
-            longer.extend(combo + (c,) for c in COLORS if c not in used)
-        combos = longer
-    for combo in combos:
+    for combo in _proper_tuples(earlier):
         yield combo, dict(zip(domain, combo))
 
 
-def extension_split(adj, g: EmbeddedGraph):
-    """Which ring precolorings of g extend under the adjacency ``adj``.
+def _sweep_order(adj, start: Sequence[int]) -> list[int]:
+    """BFS layers from ``start``, each layer by id; an unreached vertex
+    restarts the search from the smallest such id."""
+    placed = set(start)
+    order = list(start)
+    layer = start
+    while len(order) < len(adj):
+        layer = sorted({u for v in layer for u in adj[v]} - placed) or [
+            min(set(range(len(adj))) - placed)
+        ]
+        placed.update(layer)
+        order += layer
+    return order
+
+
+def _sweep(g: EmbeddedGraph) -> frozenset[tuple[int, ...]]:
+    """The ring precolorings of g that extend, by one frontier sweep.
+
+    Ring 1 is placed first; the other vertices follow in BFS order.  The
+    state maps each coloring of the live frontier to a bitmask over the
+    colorings of ring 1 (proper on every edge among its vertices) that
+    reach it.  A vertex leaves the frontier once all its neighbours are
+    placed, except the vertices of the other ring, which are read off at
+    the end together with the ring-1 coloring of each bit.
+    """
+    adj = g.rotations
+    ring1 = sorted(g.rings[0]) if g.rings else []
+    stay = set().union(*g.rings[1:])
+    pos = {v: i for i, v in enumerate(ring1)}
+    starts = _proper_tuples(
+        [[pos[u] for u in adj[v] if pos.get(u, j) < j] for j, v in enumerate(ring1)]
+    )
+    left = [len(row) for row in adj]  # unplaced neighbours
+    for v in ring1:
+        for u in adj[v]:
+            left[u] -= 1
+    live = [v for v in ring1 if left[v] or v in stay]
+    at = [pos[v] for v in live]
+    state: dict[tuple[int, ...], int] = {}
+    for i, colors in enumerate(starts):
+        key = tuple(colors[j] for j in at)
+        state[key] = state.get(key, 0) | 1 << i
+    for v in _sweep_order(adj, ring1)[len(ring1):]:
+        slot = {u: i for i, u in enumerate(live)}
+        nbrs = [slot[u] for u in adj[v] if u in slot]
+        for u in adj[v]:
+            left[u] -= 1
+        keep = [i for i, u in enumerate(live) if left[u] or u in stay]
+        stays = left[v] > 0 or v in stay
+        live = [live[i] for i in keep] + [v] * stays
+        grown: dict[tuple[int, ...], int] = {}
+        for key, mask in state.items():
+            used = {key[i] for i in nbrs}
+            base = tuple(key[i] for i in keep)
+            for c in COLORS:
+                if c not in used:
+                    k = base + (c,) * stays
+                    grown[k] = grown.get(k, 0) | mask
+        state = grown
+    domain = sorted(g.ring_vertices)
+    members = set()
+    for key, mask in state.items():
+        fixed = dict(zip(live, key))
+        while mask:
+            low = mask & -mask
+            fixed.update(zip(ring1, starts[low.bit_length() - 1]))
+            members.add(tuple(fixed[v] for v in domain))
+            mask ^= low
+    return frozenset(members)
+
+
+def extension_split(g: EmbeddedGraph):
+    """Which ring precolorings of g extend.
 
     Returns the extending members (color tuples over the sorted ring
     vertices) and the blocked precolorings, as (tuple, assignment) pairs
-    in lexicographic order.  ``adj`` may be g's own rotations or those of
-    a subgraph on the same vertex ids that keeps every ring vertex.
+    in lexicographic order.
     """
-    members = set()
-    blocked = []
-    for combo, fixed in ring_precolorings(g):
-        if _solve_first(adj, fixed) is not None:
-            members.add(combo)
-        else:
-            blocked.append((combo, fixed))
-    return frozenset(members), blocked
+    members = _sweep(g)
+    blocked = [(combo, fixed) for combo, fixed in ring_precolorings(g) if combo not in members]
+    return members, blocked
 
 
 def extendable_set(g: EmbeddedGraph) -> ExtendableSet:
-    """The ring precolorings that extend to g.
-
-    Composed piece by piece along g's chain decomposition when it has at
-    least two pieces; otherwise every proper ring precoloring is searched
-    on the whole graph.
-    """
+    """The ring precolorings that extend to g."""
     if not g.rings:
         raise NoRings("graph has no rings")
-    members = _members_by_chain(g)
-    if members is None:
-        members, _ = extension_split(g.rotations, g)
-    return ExtendableSet(tuple(sorted(g.ring_vertices)), members)
-
-
-def _members_by_chain(g: EmbeddedGraph) -> frozenset[tuple[int, ...]] | None:
-    """Members of g's extendable set composed along its chain, or None
-    when g has no chain of at least two pieces.
-
-    Pieces meet only on their cutting cycles, so a ring precoloring
-    extends exactly when some coloring of the cutting cycles extends in
-    every piece.  The fold keeps, for each coloring of ring 1, the
-    colorings of the current cutting cycle that extend through the pieces
-    so far; each piece carries them one cycle further.  Colorings are
-    tuples along the cycle's vertex order, so cycles that share vertices
-    need no special case.
-    """
-    from . import surgery  # surgery builds on this module
-
-    try:
-        chain = surgery.chain_decompose(g)
-    except (InvalidParameter, NotTame, AuditFailed):
-        return None
-    if chain.n < 2:
-        return None
-    cycles = [c.vertices for c in chain.cutting_cycles]
-    steps = [
-        _piece_step(piece, remap, near, far)
-        for piece, remap, near, far in zip(chain.pieces, chain.vertex_maps, cycles, cycles[1:])
-    ]
-    reach = steps[0]
-    for step in steps[1:]:
-        reach = {
-            start: set().union(*(step.get(c, ()) for c in ends))
-            for start, ends in reach.items()
-        }
-    ends_first = cycles[0] + cycles[-1]
-    at = [ends_first.index(v) for v in sorted(g.ring_vertices)]
-    return frozenset(
-        tuple((start + end)[i] for i in at) for start, ends in reach.items() for end in ends
-    )
-
-
-def _piece_step(piece: EmbeddedGraph, remap, near, far):
-    """The extendable set of a piece as a map from colorings of its near
-    cycle to the colorings of its far cycle that extend with them.
-
-    ``remap`` sends the ids of ``near`` and ``far`` to the piece's ids.
-    """
-    pos = {v: i for i, v in enumerate(sorted(piece.ring_vertices))}
-    at_near = [pos[remap[v]] for v in near]
-    at_far = [pos[remap[v]] for v in far]
-    step: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for m in extension_split(piece.rotations, piece)[0]:
-        step.setdefault(tuple(m[i] for i in at_near), set()).add(tuple(m[i] for i in at_far))
-    return step
+    return ExtendableSet(tuple(sorted(g.ring_vertices)), _sweep(g))
 
 
 def _ring_signature(g: EmbeddedGraph):
     return sorted(canon_cycle(r) for r in g.rings)
-
-
-def _extends_all(g1: EmbeddedGraph, g2: EmbeddedGraph, to_g2) -> bool:
-    """True iff every ring precoloring that extends in g1 extends in g2.
-
-    ``to_g2`` turns an assignment on g1's ring vertices into one on
-    g2's.  Stops at the first member of g1 that fails in g2.
-    """
-    for _, fixed in ring_precolorings(g1):
-        if _solve_first(g1.rotations, fixed) is None:
-            continue
-        if _solve_first(g2.rotations, to_g2(fixed)) is None:
-            return False
-    return True
 
 
 def dominates(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
@@ -326,7 +311,7 @@ def dominates(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
         raise NoRings("both graphs need rings")
     if _ring_signature(g1) != _ring_signature(g2):
         raise RingMismatch("graphs do not share the same labeled rings")
-    return _extends_all(g1, g2, lambda fixed: fixed)
+    return _sweep(g1) <= _sweep(g2)
 
 
 def members_over(g: EmbeddedGraph, order: Sequence[int]) -> frozenset[tuple[int, ...]]:
@@ -357,7 +342,5 @@ def dominates_under(
     mapped = sorted(canon_cycle([vertex_map[v] for v in r]) for r in g2.rings)
     if mapped != _ring_signature(g1):
         raise RingMismatch("vertex map does not carry rings onto rings")
-    ring2 = sorted(g2.ring_vertices)
-    return _extends_all(
-        g1, g2, lambda fixed: {v: fixed[vertex_map[v]] for v in ring2}
-    )
+    order = [vertex_map[v] for v in sorted(g2.ring_vertices)]
+    return members_over(g1, order) <= _sweep(g2)

@@ -478,6 +478,18 @@ def _connected_after(adj: dict[int, set[int]], removed_edge=None, removed_vertex
     return seen == verts
 
 
+def _deletion_adjacency(rows: dict[int, Sequence[int]], edge=None, vertex=None):
+    """Solver adjacency of a rotation table with one edge (a pair) or
+    one vertex deleted; ids below the largest one without a row are
+    isolated."""
+    cut = {tuple(edge), tuple(edge)[::-1]} if edge else set()
+    adj = [()] * (max(rows) + 1)
+    for v, row in rows.items():
+        if v != vertex:
+            adj[v] = tuple(u for u in row if u != vertex and (v, u) not in cut)
+    return adj
+
+
 def maximal_critical_subgraph(g: EmbeddedGraph, guard: int = 22) -> EmbeddedGraph:
     return _maximal_critical_mapped(g, guard)[0]
 
@@ -491,7 +503,7 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
     """
     if g.n > guard:
         raise TooLarge(f"{g.n} vertices exceeds guard {guard}")
-    _, blocked = extension_split(g.rotations, g)
+    _, blocked = extension_split(g)
     if not blocked:
         raise NothingToExtract("every ring precoloring extends")
 
@@ -499,25 +511,9 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
     ring_vs = g.ring_vertices
     ring_edges = g.ring_edge_set()
 
-    def adj_of(table, skip_edge=None, skip_vertex=None):
-        mx = max(table) + 1
-        adj = [()] * mx
-        for v, row in table.items():
-            if v == skip_vertex:
-                adj[v] = ()
-                continue
-            adj[v] = tuple(
-                u
-                for u in row
-                if u != skip_vertex
-                and (skip_edge is None or frozenset((u, v)) != skip_edge)
-            )
-        return adj
-
-    def unchanged(table, skip_edge=None, skip_vertex=None) -> bool:
+    def unchanged(adj) -> bool:
         # Every accepted deletion keeps the extendable set, so the blocked
         # precolorings stay those of g; a deletion can only unblock some.
-        adj = adj_of(table, skip_edge, skip_vertex)
         return all(_solve_first(adj, fixed) is None for _, fixed in blocked)
 
     changed = True
@@ -533,7 +529,7 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
         for e in edges:
             if not _connected_after(sets, removed_edge=e):
                 continue
-            if unchanged(rot, skip_edge=e):
+            if unchanged(_deletion_adjacency(rot, edge=e)):
                 u, v = sorted(e)
                 rot[u].remove(v)
                 rot[v].remove(u)
@@ -546,7 +542,7 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
                 continue
             if not _connected_after(sets, removed_vertex=v):
                 continue
-            if unchanged(rot, skip_vertex=v):
+            if unchanged(_deletion_adjacency(rot, vertex=v)):
                 for u in rot[v]:
                     rot[u].remove(v)
                 del rot[v]
@@ -562,15 +558,10 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
 
 @dataclass(frozen=True)
 class ChainDecomposition:
-    """Cutting cycles and the sub-cylinders between consecutive ones.
-
-    ``vertex_maps[i]`` sends the ids of g that lie in ``pieces[i]`` to
-    the piece's own ids (increasing, as compression keeps order).
-    """
+    """Cutting cycles and the sub-cylinders between consecutive ones."""
 
     cutting_cycles: tuple[CycleRef, ...]
     pieces: tuple[EmbeddedGraph, ...]
-    vertex_maps: tuple[dict[int, int], ...]
 
     @property
     def n(self) -> int:
@@ -678,13 +669,11 @@ def chain_decompose(g: EmbeddedGraph) -> ChainDecomposition:
         raise AuditFailed("no valid chain found")
     path = best[cn][1]
     cycles = tuple(CycleRef(c, False) for c in path)
-    pieces, maps = zip(
-        *(_piece_between(g, path[i], path[i + 1], sides) for i in range(len(path) - 1))
-    )
-    return ChainDecomposition(cycles, pieces, maps)
+    pieces = tuple(_piece_between(g, path[i], path[i + 1], sides) for i in range(len(path) - 1))
+    return ChainDecomposition(cycles, pieces)
 
 
-def _piece_between(g, x: Cycle, y: Cycle, sides) -> tuple[EmbeddedGraph, dict[int, int]]:
+def _piece_between(g, x: Cycle, y: Cycle, sides) -> EmbeddedGraph:
     region = sides[y] - sides[x]
     rot: dict[int, list[int]] = {}
     cyc_edges = set()
@@ -706,7 +695,7 @@ def _piece_between(g, x: Cycle, y: Cycle, sides) -> tuple[EmbeddedGraph, dict[in
     keep = set(rot)
     for v in keep:
         rot[v] = [u for u in rot[v] if u in keep]
-    return compress_rotations(rot, (x, y))
+    return compress_rotations(rot, (x, y))[0]
 
 
 def audit_chain(g: EmbeddedGraph, chain: ChainDecomposition) -> list[str]:

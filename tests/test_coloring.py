@@ -17,24 +17,29 @@ from cylcolor.coloring import (
     dominates_under,
     extend,
     extendable_set,
-    extension_split,
     ring_precolorings,
     _ring_signature,
 )
 from cylcolor.embedding import EmbeddedGraph, relabel
 from cylcolor.errors import ImproperPrecoloring, NoRings, RingMismatch
-from cylcolor import surgery
 from cylcolor.families import (
     cylinder_grid,
+    generate_hexagon_disks,
+    generate_patches,
     generate_quad33,
     near_quad33,
     reduced_thomas_walls,
     subdivision_choices,
 )
-from cylcolor.surgery import audit_chain
 
 import fixtures
-from oracles import brute_count, brute_ring_members, reference_count, reference_first
+from oracles import (
+    _ref_members,
+    brute_count,
+    brute_ring_members,
+    reference_count,
+    reference_first,
+)
 
 
 def single_edge() -> EmbeddedGraph:
@@ -205,7 +210,7 @@ def test_extendable_set_matches_brute_force_on_corpus():
         assert extendable_set(g).members == brute_ring_members(g), name
 
 
-def _composition_corpus() -> list[tuple[str, EmbeddedGraph]]:
+def _sweep_corpus() -> list[tuple[str, EmbeddedGraph]]:
     out = [(f"quad33-{i}", q) for i, q in enumerate(generate_quad33(9))]
     for i, q in enumerate(generate_quad33(8)):
         for choice in subdivision_choices(q):
@@ -213,53 +218,41 @@ def _composition_corpus() -> list[tuple[str, EmbeddedGraph]]:
                 out.append((f"near-quad33-{i}-{choice}", near_quad33(q, choice)))
     out += [(f"C4xP{k}", cylinder_grid(4, k)) for k in range(3, 9)]
     out += [(f"tube{k}", fixtures.penta_tube(k)) for k in (2, 3)]
+    # one-ring disks, a chord inside ring 1, and rings sharing a vertex
+    out += [(f"hexdisk-{i}", d) for i, d in enumerate(generate_hexagon_disks(4))]
+    out += [(f"patch-{i}", p) for i, p in enumerate(generate_patches(3))]
+    out += [("chord-hexagon", fixtures.chord_hexagon())]
+    out += [("shared-vertex", fixtures.shared_vertex_quad33())]
     return out + fixtures.cylinder_corpus()
 
 
 def _direct(g: EmbeddedGraph) -> frozenset:
-    """Whole-graph search, the fallback route: the composition's oracle."""
-    return extension_split(g.rotations, g)[0]
+    """Whole-graph search by the reference solver, one precoloring at a time."""
+    return _ref_members(g.rotations, g)
 
 
-def _recording_chains(monkeypatch) -> list:
-    """Record every (graph, chain) that extendable_set decomposes."""
-    seen = []
-    real = surgery.chain_decompose
-
-    def chain_decompose(g):
-        chain = real(g)
-        seen.append((g, chain))
-        return chain
-
-    monkeypatch.setattr(surgery, "chain_decompose", chain_decompose)
-    return seen
-
-
-def test_composed_extendable_set_matches_direct_search(monkeypatch):
-    chains = _recording_chains(monkeypatch)
+def test_extendable_set_matches_reference_search():
     rng = random.Random(4)
-    composed = 0
-    for name, g in _composition_corpus():
+    swapped = 0
+    for name, g in _sweep_corpus():
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = relabel(g, perm)
-        del chains[:]
+        want = _direct(h)
         es = extendable_set(h)
         assert es.ring_domain == tuple(sorted(h.ring_vertices)), name
-        assert es.members == _direct(h), name
-        for seen, chain in chains:
-            assert audit_chain(seen, chain) == [], name
-        composed += any(chain.n >= 2 for _, chain in chains)
-    assert composed >= 140  # graphs whose chain has at least two pieces
+        assert es.members == want, name
+        if len(h.rings) == 2:
+            # the sweep starts from ring 1 and keeps ring 2 live to the end
+            assert extendable_set(h.with_rings(h.rings[::-1])).members == want, name
+            swapped += 1
+    assert swapped >= 1298
 
 
-def test_composed_thomas_walls_chains_match_direct_search(monkeypatch):
-    chains = _recording_chains(monkeypatch)
+def test_thomas_walls_chains_match_reference_search():
     for n in range(5, 14):
         g, _ = reduced_thomas_walls(n)
         assert extendable_set(g).members == _direct(g), n
-        assert [chain.n >= 2 for _, chain in chains] == [True]
-        assert audit_chain(g, chains.pop()[1]) == []
 
 
 def _by_ring_position(g: EmbeddedGraph, members) -> frozenset:
