@@ -291,7 +291,6 @@ class CensusRecord:
     verdict: str  # NQ | FPTW | NEITHER | UNKNOWN
     def_int: int
     chain_n: int
-    skipped: bool = False
 
     def line(self) -> str:
         crit = "-" if self.critical is None else ("1" if self.critical else "0")
@@ -324,11 +323,8 @@ def _census_one(args) -> CensusRecord:
     canon = hashlib.sha256(canonical_form(g)).hexdigest()[:16]
     tame = is_tame(g)
     critical: Optional[bool] = None
-    skipped = False
     if g.n <= guard:
         critical = is_critical(g, guard=guard).is_critical
-    else:
-        skipped = True
     try:
         verdict = VERDICT_NAMES[recognize(g, catalog_bound, patch_bound).verdict]
     except CatalogTooSmall:
@@ -340,7 +336,7 @@ def _census_one(args) -> CensusRecord:
             chain_n = chain_decompose(g).n
         except CylColorError:
             chain_n = 0
-    return CensusRecord(canon, tame, critical, verdict, def_int, chain_n, skipped)
+    return CensusRecord(canon, tame, critical, verdict, def_int, chain_n)
 
 
 def census(

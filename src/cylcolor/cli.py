@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 property violation or census flag, 2 malformed
 input, usage error or a file that cannot be read or written, 3
-brute-force guard exceeded.
+vertex guard exceeded (``--guard`` on the verbs that search).
 """
 
 from __future__ import annotations
@@ -294,11 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("--in", dest="input", default=None, help="EMG input (default stdin)")
+    def common(sp):
+        sp.add_argument("--in", dest="input", default=None, help="EMG input (default stdin)")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--guard", type=int, default=22, help="brute-force vertex guard")
+
+    def guarded(sp):
+        sp.add_argument("--guard", type=int, default=22, help="vertex guard: larger graphs exit 3")
 
     sp = sub.add_parser("gen", help="generate a graph family as an EMG stream")
     sp.add_argument("--family", required=True, choices=[
@@ -316,6 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("color", help="find a 3-coloring extending a precoloring")
     common(sp)
+    guarded(sp)
     sp.add_argument(
         "--precolor", action="append", default=[], type=_precolor_arg,
         help="v=c pairs, comma separated",
@@ -324,19 +326,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("count", help="count 3-colorings extending a precoloring")
     common(sp)
+    guarded(sp)
     sp.add_argument("--precolor", action="append", default=[], type=_precolor_arg)
     sp.set_defaults(func=_cmd_count)
 
     sp = sub.add_parser("extendset", help="list extendable ring precolorings")
     common(sp)
+    guarded(sp)
     sp.set_defaults(func=_cmd_extendset)
 
     sp = sub.add_parser("critical", help="test criticality relative to the rings")
     common(sp)
+    guarded(sp)
     sp.set_defaults(func=_cmd_critical)
 
     sp = sub.add_parser("dominates", help="does the first graph dominate the second")
     common(sp)
+    guarded(sp)
     sp.add_argument("--other", required=True, help="EMG path of the second graph")
     sp.set_defaults(func=_cmd_dominates)
 
@@ -368,6 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cut", help="one cutting step (introduce a short cycle)")
     common(sp)
+    guarded(sp)
     sp.add_argument("--d0", type=int, required=True)
     sp.set_defaults(func=_cmd_cut)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .embedding import EmbeddedGraph, canon_cycle
+from .embedding import EmbeddedGraph, bfs_layers, canon_cycle
 from .errors import ImproperPrecoloring, NoRings, RingMismatch
 
 COLORS = (1, 2, 3)
@@ -238,16 +238,14 @@ def ring_precolorings(g: EmbeddedGraph) -> Iterable[tuple[tuple[int, ...], dict[
 def _sweep_order(adj, start: Sequence[int]) -> list[int]:
     """BFS layers from ``start``, each layer by id; an unreached vertex
     restarts the search from the smallest such id."""
-    placed = set(start)
-    order = list(start)
-    layer = start
-    while len(order) < len(adj):
-        layer = sorted({u for v in layer for u in adj[v]} - placed) or [
-            min(set(range(len(adj))) - placed)
-        ]
-        placed.update(layer)
-        order += layer
-    return order
+    order: list[int] = []
+    while True:
+        for layer in bfs_layers(adj, start, avoid=order):
+            order += sorted(layer)
+        if len(order) == len(adj):
+            return order
+        placed = set(order)
+        start = [min(v for v in range(len(adj)) if v not in placed)]
 
 
 @dataclass(frozen=True)
@@ -315,16 +313,16 @@ def _sweep(g: EmbeddedGraph) -> _Swept:
     return _Swept(tuple(ring1), starts, tuple(live), state)
 
 
-def _members(g: EmbeddedGraph, sw: _Swept) -> frozenset[tuple[int, ...]]:
-    """The extending ring precolorings, as color tuples over the sorted
-    ring vertices.
+def _members(sw: _Swept, order: Sequence[int]) -> frozenset[tuple[int, ...]]:
+    """The extending ring precolorings, as color tuples over ``order``
+    (the ring vertices).
 
     Each member is read from its ring-1 coloring followed by the state's
     key, through one index template.
     """
     where = {v: i for i, v in enumerate(sw.ring1)}
     where.update((v, len(sw.ring1) + i) for i, v in enumerate(sw.live))
-    fill = _picker([where[v] for v in sorted(g.ring_vertices)])
+    fill = _picker([where[v] for v in order])
     starts = sw.starts
     members = set()
     for key, mask in sw.state.items():
@@ -356,7 +354,7 @@ def blocked_precolorings(g: EmbeddedGraph) -> Iterator[dict[int, int]]:
 
 
 def _extendable(g: EmbeddedGraph) -> frozenset[tuple[int, ...]]:
-    return _members(g, _sweep(g))
+    return _members(_sweep(g), sorted(g.ring_vertices))
 
 
 def extendable_set(g: EmbeddedGraph) -> ExtendableSet:
@@ -386,12 +384,9 @@ def members_over(g: EmbeddedGraph, order: Sequence[int]) -> frozenset[tuple[int,
     """Extendable ring precolorings as tuples over an explicit vertex order."""
     if set(order) != set(g.ring_vertices):
         raise RingMismatch("order must list exactly the ring vertices")
-    domain = tuple(sorted(g.ring_vertices))
-    pos = {v: i for i, v in enumerate(domain)}
-    idx = [pos[v] for v in order]
-    return frozenset(
-        tuple(m[i] for i in idx) for m in extendable_set(g).members
-    )
+    if not g.rings:
+        raise NoRings("graph has no rings")
+    return _members(_sweep(g), order)
 
 
 def dominates_under(

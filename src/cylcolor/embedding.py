@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EMGParseError,
@@ -118,17 +118,7 @@ class EmbeddedGraph:
             for u in nbr_sets[v]:
                 if v not in nbr_sets[u]:
                     raise MalformedRotation(f"asymmetric edge {v}-{u}")
-        # connectivity
-        seen = [False] * n
-        seen[0] = True
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for u in rot[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        if not all(seen):
+        if sum(map(len, bfs_layers(rot, [0]))) != n:
             raise EulerViolation("graph is disconnected; not a single sphere map")
 
         faces, dart_face = _trace(rot)
@@ -322,6 +312,33 @@ def is_contractible(g: EmbeddedGraph, cycle: Sequence[int]) -> bool:
     return not sum(d in crossed for d in zip(cyc, cyc[1:] + cyc[:1])) % 2
 
 
+def bfs_layers(
+    adj: Sequence[Iterable[int]], sources: Iterable[int], avoid: Iterable[int] = ()
+) -> Iterator[list[int]]:
+    """Breadth-first layers from ``sources`` over neighbour lists, never
+    entering ``avoid``.
+
+    Layer 0 is the sources that are not in ``avoid``; layer d is the
+    vertices first reached at distance d, in the order they are reached.
+    ``adj`` is indexed by vertex: a list of rows or a dict of rows.
+    """
+    seen = set(avoid)
+    layer = []
+    for v in sources:
+        if v not in seen:
+            seen.add(v)
+            layer.append(v)
+    while layer:
+        yield layer
+        nxt = []
+        for v in layer:
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        layer = nxt
+
+
 def distance(g: EmbeddedGraph, h1: Iterable[int], h2: Iterable[int]) -> float:
     """Length of a shortest path with one end in each set (0 if they meet).
 
@@ -338,18 +355,9 @@ def adjacency_distance(
     dst = set(h2)
     if not src or not dst:
         raise ValueError("both vertex sets must be nonempty")
-    if src & dst:
-        return 0
-    dist = {v: 0 for v in src}
-    queue = deque(src)
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                if u in dst:
-                    return dist[u]
-                queue.append(u)
+    for d, layer in enumerate(bfs_layers(adj, src)):
+        if not dst.isdisjoint(layer):
+            return d
     return math.inf
 
 

@@ -16,6 +16,7 @@ from .embedding import (
     Cycle,
     CycleRef,
     EmbeddedGraph,
+    bfs_layers,
     canon_cycle,
     compress_rotations,
     distance,
@@ -211,39 +212,16 @@ def distance_classes(g: EmbeddedGraph, ring_index: int = 0) -> DistanceClasses:
     """Exact BFS layering from the chosen ring."""
     if ring_index >= len(g.rings):
         raise InvalidParameter(f"no ring {ring_index}")
-    dist = {v: 0 for v in g.rings[ring_index]}
-    frontier = list(dist)
-    layers = [frozenset(frontier)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in g.rotations[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        if nxt:
-            layers.append(frozenset(nxt))
-        frontier = nxt
-    return DistanceClasses(tuple(layers))
+    layers = bfs_layers(g.rotations, g.rings[ring_index])
+    return DistanceClasses(tuple(map(frozenset, layers)))
 
 
 def _separates(
     g: EmbeddedGraph, cut: set[int] | frozenset[int], a: Sequence[int], b: Sequence[int]
 ) -> bool:
     """True iff every path from a vertex in `a` to a vertex in `b` meets `cut`."""
-    dst = {v for v in b if v not in cut}
-    seen = {v for v in a if v not in cut}
-    if seen & dst:
-        return False
-    stack = list(seen)
-    while stack:
-        for u in g.rotations[stack.pop()]:
-            if u in dst:
-                return False
-            if u not in cut and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return True
+    dst = set(b)
+    return all(dst.isdisjoint(layer) for layer in bfs_layers(g.rotations, a, cut))
 
 
 def shortest_layer_cycle(g: EmbeddedGraph, a: int, ring_index: int = 0) -> CycleRef:
@@ -457,25 +435,23 @@ def _collapse_mapped(g, t1, t2) -> tuple[EmbeddedGraph, dict[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _connected_after(adj: dict[int, set[int]], removed_edge=None, removed_vertex=None) -> bool:
-    verts = set(adj)
-    if removed_vertex is not None:
-        verts.discard(removed_vertex)
-    if not verts:
-        return True
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in verts or u in seen:
-                continue
-            if removed_edge and frozenset((v, u)) == removed_edge:
-                continue
-            seen.add(u)
-            stack.append(u)
-    return seen == verts
+def _connected_after(
+    rot: dict[int, Sequence[int]], removed_edge=None, removed_vertex=None
+) -> bool:
+    """Is the graph of the rotation table still connected after deleting
+    one edge (a pair) or one vertex?
+
+    Without the edge uv, everything is reached from u exactly when
+    everything but u is reached from u's other neighbours without
+    passing u.
+    """
+    if removed_edge is None:
+        gone = removed_vertex
+        sources = [v for v in rot if v != gone][:1]
+    else:
+        gone, other = removed_edge
+        sources = [v for v in rot[gone] if v != other]
+    return sum(map(len, bfs_layers(rot, sources, (gone,)))) == len(rot) - 1
 
 
 def _deletion_adjacency(rows: dict[int, Sequence[int]], edge=None, vertex=None):
@@ -589,7 +565,6 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
     changed = True
     while changed:
         changed = False
-        sets = {v: set(row) for v, row in rot.items()}
         edges = sorted(
             frozenset((u, v))
             for v, row in rot.items()
@@ -597,7 +572,7 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
             if u < v and frozenset((u, v)) not in ring_edges
         )
         for e in edges:
-            if e in test.felt or not _connected_after(sets, removed_edge=e):
+            if e in test.felt or not _connected_after(rot, removed_edge=e):
                 continue
             if test.unchanged(rot, edge=e):
                 u, v = sorted(e)
@@ -610,7 +585,7 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
         for v in sorted(rot):
             if v in ring_vs or v in test.felt:
                 continue
-            if not _connected_after(sets, removed_vertex=v):
+            if not _connected_after(rot, removed_vertex=v):
                 continue
             if test.unchanged(rot, vertex=v):
                 for u in rot[v]:
@@ -866,17 +841,24 @@ def _cut_step_mapped(g: EmbeddedGraph, d0: int, guard: int, audit: bool):
     if d0 < 3 or d < d0:
         raise PreconditionFailed(f"distance: d({d}) < d0({d0})")
 
-    result = _cut_route(g, d0, guard)
+    result = _cut_route(g, d, d0, guard)
     if result is None:
         raise PreconditionFailed("no identification or ladder step applies")
     out, total = result
     if audit:
-        _audit_cut(g, out, total, d, guard)
+        _audit_cut(g, out, total, d)
     return out, total
 
 
-def _cut_route(g: EmbeddedGraph, d0: int, guard: int):
-    d = distance(g, g.rings[0], g.rings[1])
+def _far_from_rings(g: EmbeddedGraph) -> set[int]:
+    """The vertices at distance at least 3 from every ring vertex."""
+    layers = list(bfs_layers(g.rotations, g.ring_vertices))
+    return {v for layer in layers[3:] for v in layer}
+
+
+def _cut_route(g: EmbeddedGraph, d: int, d0: int, guard: int):
+    """The identification route, else the ladder route, on g at ring
+    distance d; None when neither applies."""
     fl = g.faces
     faces4 = []
     facelen_at = [0] * g.n
@@ -885,13 +867,11 @@ def _cut_route(g: EmbeddedGraph, d0: int, guard: int):
             continue
         for v in f:
             facelen_at[v] = max(facelen_at[v], len(f))
-    ring_vs = set(g.ring_vertices)
+    far = _far_from_rings(g)
     for i, f in enumerate(fl.faces):
         if i in fl.ring_faces or len(f) != 4:
             continue
-        if any(facelen_at[v] > 4 for v in f):
-            continue
-        if min(distance(g, {v}, ring_vs) for v in f) < 3:
+        if any(facelen_at[v] > 4 for v in f) or not far.issuperset(f):
             continue
         faces4.append(f)
     faces4.sort(key=lambda f: tuple(sorted(f)))
@@ -921,18 +901,10 @@ def _cut_route(g: EmbeddedGraph, d0: int, guard: int):
 
     # ladder route: find a quadrangulated band and contract the staircase
     classes = distance_classes(g, 0)
-    fl = g.faces
-    only4 = [True] * g.n
-    for i, f in enumerate(fl.faces):
-        if i in fl.ring_faces:
-            continue
-        if len(f) > 4:
-            for v in f:
-                only4[v] = False
     dmax = len(classes) - 1
     for b in range(2, dmax - 2):
         window = range(b - 1, min(b + 6, dmax) + 1)
-        if not all(a <= dmax and all(only4[v] for v in classes[a]) for a in window):
+        if not all(all(facelen_at[v] <= 4 for v in classes[a]) for a in window):
             continue
         try:
             qs = [shortest_layer_cycle(g, a) for a in range(b, min(b + 6, dmax))]
@@ -971,7 +943,7 @@ def _collapse_best_pair(g: EmbeddedGraph, z: Optional[int]):
     return best[1], best[2]
 
 
-def _audit_cut(g, out, total, d_before, guard):
+def _audit_cut(g, out, total, d_before):
     from .coloring import dominates_under
     from .families import near_quad33_decomposition
 
@@ -986,11 +958,9 @@ def _audit_cut(g, out, total, d_before, guard):
     extra = _extra_short_cycles(out)
     if not extra:
         raise AuditFailed("no new short non-contractible cycle")
-    ring_vs = set(out.ring_vertices)
-    zs = set(extra[0].vertices)
-    for r in extra[1:]:
+    zs = _far_from_rings(out)
+    for r in extra:
         zs &= set(r.vertices)
-    zs = {z for z in zs if distance(out, {z}, ring_vs) >= 3}
     if not zs:
         raise AuditFailed("no common far vertex on the new short cycles")
     dec_out = near_quad33_decomposition(out)

@@ -297,7 +297,6 @@ def reference_maximal_critical(g: EmbeddedGraph):
     """
     from cylcolor.coloring import ring_precolorings
     from cylcolor.errors import NothingToExtract
-    from cylcolor.surgery import _connected_after
 
     target = _ref_members(g.rotations, g)
     if len(target) == sum(1 for _ in ring_precolorings(g)):
@@ -305,6 +304,15 @@ def reference_maximal_critical(g: EmbeddedGraph):
     rot = {v: list(g.rotations[v]) for v in range(g.n)}
     ring_vs = g.ring_vertices
     ring_edges = g.ring_edge_set()
+
+    def connected_without(skip_edge=None, skip_vertex=None):
+        G = nx.Graph((u, v) for u, row in rot.items() for v in row)
+        G.add_nodes_from(rot)
+        if skip_edge is not None:
+            G.remove_edge(*skip_edge)
+        if skip_vertex is not None:
+            G.remove_node(skip_vertex)
+        return nx.is_connected(G)
 
     def members_without(skip_edge=None, skip_vertex=None):
         adj = [()] * (max(rot) + 1)
@@ -319,7 +327,6 @@ def reference_maximal_critical(g: EmbeddedGraph):
     changed = True
     while changed:
         changed = False
-        sets = {v: set(row) for v, row in rot.items()}
         edges = sorted(
             frozenset((u, v))
             for v, row in rot.items()
@@ -327,7 +334,7 @@ def reference_maximal_critical(g: EmbeddedGraph):
             if u < v and frozenset((u, v)) not in ring_edges
         )
         for e in edges:
-            if _connected_after(sets, removed_edge=e) and members_without(skip_edge=e) == target:
+            if connected_without(skip_edge=e) and members_without(skip_edge=e) == target:
                 u, v = sorted(e)
                 rot[u].remove(v)
                 rot[v].remove(u)
@@ -336,7 +343,7 @@ def reference_maximal_critical(g: EmbeddedGraph):
         if changed:
             continue
         for v in sorted(rot):
-            if v in ring_vs or not _connected_after(sets, removed_vertex=v):
+            if v in ring_vs or not connected_without(skip_vertex=v):
                 continue
             if members_without(skip_vertex=v) == target:
                 for u in rot[v]:

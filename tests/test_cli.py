@@ -258,6 +258,27 @@ def test_guard_exit_code(capsys, monkeypatch):
     assert code == 3
 
 
+def test_guard_only_on_verbs_that_read_it(capsys):
+    from cylcolor.cli import _build_parser
+
+    required = {
+        "identify": ["--face", "0,1,2,3"],
+        "contract-ladder": ["--q2", "0,1,2,3", "--q3", "4,5,6,7"],
+        "attach-ring": ["--vertex", "0"],
+    }
+    for verb in ("classify", "faces", "chain", "identify", "contract-ladder", "attach-ring"):
+        with pytest.raises(SystemExit) as err:
+            main([verb, *required.get(verb, []), "--guard", "30"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --guard 30" in capsys.readouterr().err
+    parser = _build_parser()
+    for argv in (
+        ["color"], ["count"], ["extendset"], ["critical"], ["dominates", "--other", "h.emg"],
+        ["cut", "--d0", "3"], ["census", "--family", "quad33"],
+    ):
+        assert parser.parse_args([*argv, "--guard", "30"]).guard == 30
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["color", "--bogus"])

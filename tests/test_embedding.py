@@ -253,6 +253,60 @@ def test_grid_ring_distance(k):
     assert d == oracle
 
 
+def _traversal_corpus():
+    out = [g for _, g in fixtures.cylinder_corpus()]
+    out += [reduced_thomas_walls(n)[0] for n in range(1, 14)]
+    out += [fixtures.penta_tube(k) for k in range(1, 7)]
+    out.append(cylinder_grid(5, 6))
+    out += generate_hexagon_disks(3)
+    return out
+
+
+def test_traversals_match_networkx():
+    """Every reader of the one layered BFS against networkx."""
+    from cylcolor.coloring import _sweep_order
+    from cylcolor.surgery import _connected_after, _far_from_rings, _separates, distance_classes
+
+    for g in _traversal_corpus():
+        G = to_nx(g)
+        ring1, ring_vs = sorted(g.rings[0]), g.ring_vertices
+        layers = [set(layer) for layer in nx.bfs_layers(G, ring1)]
+        assert [set(c) for c in distance_classes(g, 0).classes] == layers
+        assert _sweep_order(g.rotations, ring1) == [v for s in layers for v in sorted(s)]
+
+        to_ring = nx.multi_source_dijkstra_path_length(G, ring_vs)
+        assert all(distance(g, {v}, ring_vs) == d for v, d in to_ring.items())
+        assert _far_from_rings(g) == {v for v, d in to_ring.items() if d >= 3}
+        if len(g.rings) == 2:
+            from_ring1 = nx.multi_source_dijkstra_path_length(G, set(ring1))
+            want = min(from_ring1[v] for v in g.rings[1])
+            assert distance(g, g.rings[0], g.rings[1]) == want
+
+        far = layers[-1] | set(g.rings[-1])
+        for cut in layers:
+            H = G.subgraph(set(G) - cut)
+            assert _separates(g, cut, ring1, far) == (
+                not any(nx.has_path(H, a, b) for a in set(ring1) - cut for b in far - cut)
+            )
+
+        # in g few deletions disconnect; in a spanning tree of g most do
+        ring_edges = g.ring_edge_set()
+        for F in (G, nx.bfs_tree(G, 0).to_undirected()):
+            rot = {v: list(F[v]) for v in F}
+            for u, v in F.edges():
+                if frozenset((u, v)) in ring_edges:
+                    continue
+                H = F.copy()
+                H.remove_edge(u, v)
+                assert _connected_after(rot, removed_edge=frozenset((u, v))) == nx.is_connected(H)
+            for v in F:
+                if v in ring_vs:
+                    continue
+                H = F.copy()
+                H.remove_node(v)
+                assert _connected_after(rot, removed_vertex=v) == nx.is_connected(H)
+
+
 def test_distance_intersecting_sets():
     g = fixtures.prism()
     assert distance(g, {0, 1}, {1, 2}) == 0
