@@ -401,16 +401,24 @@ def enumerate_short_cycles(
 
 
 def is_tame(g: EmbeddedGraph) -> bool:
-    """No contractible triangles, and all triangles pairwise vertex-disjoint."""
-    triangles = enumerate_short_cycles(g, 3)
-    for t in triangles:
-        if t.contractible:
-            return False
-    for i, t1 in enumerate(triangles):
-        s1 = set(t1.vertices)
-        for t2 in triangles[i + 1 :]:
-            if s1 & set(t2.vertices):
-                return False
+    """No contractible triangles, and all triangles pairwise vertex-disjoint.
+
+    Each triangle u < v < w is found once, as a common neighbour w of an
+    edge uv.
+    """
+    rot = g.rotations
+    used: set[int] = set()
+    for u in range(g.n):
+        around_u = set(rot[u])
+        for v in rot[u]:
+            if v <= u:
+                continue
+            for w in around_u.intersection(rot[v]):
+                if w <= v:
+                    continue
+                if used.intersection((u, v, w)) or is_contractible(g, (u, v, w)):
+                    return False
+                used.update((u, v, w))
     return True
 
 

@@ -7,23 +7,22 @@ pendant-ring attachment, and cylindrical grids used as fixtures.
 
 Generators are exhaustive and isomorph-free: labeled enumeration with a
 fixed derivation order, deduplicated by canonical form.  The quad33
-generator glues a filled disk back into a cylinder only when the cut it
-closes is a shortest path between the rings; longer cuts re-derive graphs
-that an earlier, shorter cut already gave, so the first representative of
-each class is unchanged.
+generator fills a disk only along a cut that is a shortest path between
+the rings: the filler prunes longer cuts as it fills, since they
+re-derive graphs that an earlier, shorter cut already gave, so the first
+representative of each class is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._canon import canonical_form
 from .embedding import (
     Cycle,
     EmbeddedGraph,
-    adjacency_distance,
     compress_rotations,
     reflected,
     rotation_system_from_faces,
@@ -229,8 +228,58 @@ def thomas_walls(n: int) -> EmbeddedGraph:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Cut:
+    """The cut along which a filled disk is glued back into a cylinder.
+
+    ``keep[p]`` is the boundary position that position p is glued to (p
+    itself when p has no second copy); ``ring1`` and ``ring2`` are the
+    bitmasks of the two ring triangles over kept ids, and ``length`` is L.
+    """
+
+    length: int
+    keep: tuple[int, ...]
+    ring1: int
+    ring2: int
+
+    def glued_with(self, adj: list[int], new_edges) -> list[int] | None:
+        """The glued partial graph ``adj`` (a neighbour bitmask per vertex)
+        with ``new_edges`` added, or None when one of them joins the two
+        copies of a glued vertex (a loop) or the rings come closer than L.
+
+        Dropping such a branch is exact: every completion keeps its edges,
+        and adding edges never lengthens a distance.
+        """
+        keep = self.keep
+        B = len(keep)
+        adj = list(adj)
+        for e in new_edges:
+            u, v = e
+            u = keep[u] if u < B else u
+            v = keep[v] if v < B else v
+            if u == v:
+                return None
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        reach = frontier = self.ring1
+        for _ in range(self.length - 1):
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~reach
+            if frontier & self.ring2:
+                return None
+            reach |= frontier
+        return adj
+
+
 def _fill_disk(
-    boundary_len: int, max_internal: int, no_chords_within: frozenset[int] = frozenset()
+    boundary_len: int,
+    max_internal: int,
+    no_chords_within: frozenset[int] = frozenset(),
+    cut: _Cut | None = None,
 ) -> list[tuple[tuple[Cycle, ...], int]]:
     """All fillings of a boundary cycle by quadrilateral faces.
 
@@ -240,12 +289,21 @@ def _fill_disk(
     walk 0,1,...,B-1.  Labeled enumeration is duplicate-free: the face at
     the first dart of the active region is determined by the final
     object, so each filling has exactly one derivation.
+
+    With a ``cut`` (the quad33 generator's), the filler also keeps the
+    glued partial graph and drops a branch as soon as it adds a glued
+    loop or brings the rings closer than the cut length.  The fillings
+    returned are then exactly those whose gluing has no loop and ring
+    distance L, in the order of the unpruned enumeration.
     """
     B = boundary_len
     results: list[tuple[tuple[Cycle, ...], int]] = []
     edges0 = {frozenset((i, (i + 1) % B)) for i in range(B)}
+    adj0 = None
+    if cut is not None:
+        adj0 = cut.glued_with([0] * (B + max_internal), edges0)
 
-    def rec(regions, faces, edges, n_total):
+    def rec(regions, faces, edges, n_total, adj):
         if not regions:
             results.append((tuple(faces), n_total))
             return
@@ -328,9 +386,14 @@ def _fill_disk(
                 keep.append(p)
             if not ok:
                 continue
-            rec(rest + keep, faces + [(a, b, c, d)], edges | set(new_edges), nxt)
+            child = adj
+            if cut is not None and new_edges:
+                child = cut.glued_with(adj, new_edges)
+                if child is None:
+                    continue
+            rec(rest + keep, faces + [(a, b, c, d)], edges | set(new_edges), nxt, child)
 
-    rec([list(range(B))], [], edges0, B)
+    rec([list(range(B))], [], edges0, B, adj0)
     # rec refers to itself through its closure; break that cycle, or it
     # keeps results alive after the caller drops them, until a collection
     del rec
@@ -345,6 +408,8 @@ def _disk_graph(faces: tuple[Cycle, ...], n_total: int, boundary_len: int) -> Em
 
 def generate_hexagon_disks(max_internal: int) -> list[EmbeddedGraph]:
     """All quadrangulated disks with a 6-ring, chords allowed, isomorph-free."""
+    if max_internal < 0:
+        raise InvalidParameter("max_internal must be >= 0")
     return _isomorph_free(
         _disk_graph(faces, n_total, 6) for faces, n_total in _fill_disk(6, max_internal)
     )
@@ -532,46 +597,51 @@ def frame(
 # ---------------------------------------------------------------------------
 
 
-def _glue_quad33(faces: tuple[Cycle, ...], n_total: int, L: int) -> EmbeddedGraph | None:
-    """Close a filled disk into a cylinder with two triangle holes.
+def _quad33_cut(L: int) -> _Cut:
+    """The cut of a quad33 disk with boundary length 6+2L.
 
-    The disk boundary (length 6+2L) is read as: triangle 1 cut open at a
-    (positions 0..3), the cut path (3..3+L), triangle 2 cut open at b
-    (3+L..6+L), and the second copy of the cut path back to a.  Returns
-    None unless the glued cut is a shortest path between the rings (their
-    distance is L), and None for a gluing that is not a map.
+    The boundary is read as: triangle 1 cut open at a (positions 0..3),
+    the cut path (3..3+L), triangle 2 cut open at b (3+L..6+L), and the
+    second copy of the cut path back to a.  Position 3 is glued to 0, and
+    position 6+2L-j to 3+j for j = 1..L.
     """
     B = 6 + 2 * L
-    nu = list(range(n_total))
-    removed = set()
-    for j in range(L + 1):
-        p, q = 3 + j, (6 + 2 * L - j) % B
-        keep, drop = (q, p) if q == 0 else (p, q)
-        nu[drop] = keep
-        removed.add(drop)
-    survivors = [v for v in range(n_total) if v not in removed]
-    dense = {old: new for new, old in enumerate(survivors)}
-    remap = [dense[nu[v]] for v in range(n_total)]
+    keep = list(range(B))
+    keep[3] = 0
+    for j in range(1, L + 1):
+        keep[B - j] = 3 + j
+    return _Cut(L, tuple(keep), 0b111, 0b111 << (3 + L))
 
+
+def _glue_remap(cut: _Cut, n_total: int) -> list[int]:
+    """Dense ids after gluing, for the disk vertices 0..n_total-1.
+
+    Only boundary copies are merged, so internal vertex v goes to v-L-1
+    and the map for fewer vertices is a prefix of this one.
+    """
+    B = len(cut.keep)
+    survivors = sorted(set(cut.keep)) + list(range(B, n_total))
+    dense = {old: new for new, old in enumerate(survivors)}
+    return [dense[cut.keep[v]] for v in range(B)] + [dense[v] for v in range(B, n_total)]
+
+
+def _glue_quad33(
+    faces: tuple[Cycle, ...], n_total: int, L: int, remap: list[int]
+) -> EmbeddedGraph | None:
+    """Close a filled disk into a cylinder with two triangle holes.
+
+    ``remap`` takes each disk vertex to its dense id after gluing along
+    ``_quad33_cut(L)``.  The filler has already dropped every filling
+    whose gluing has a loop or ring distance below L, so this only builds
+    the map; it returns None for a gluing that is not a map.
+    """
     glued_faces = [tuple(remap[v] for v in f) for f in faces]
-    adj: list[list[int]] = [[] for _ in survivors]
-    for f in glued_faces:
-        for i in range(len(f)):
-            u, v = f[i - 1], f[i]
-            if u == v:
-                return None  # a glued pair was joined by an edge: a loop
-            adj[u].append(v)
-            adj[v].append(u)
     ring1 = tuple(remap[v] for v in (0, 1, 2))
     ring2 = tuple(remap[v] for v in (3 + L, 4 + L, 5 + L))
-    # the cut path joins the rings, so their distance is at most L; a
-    # shorter one means this graph is also glued from a shorter cut
-    if adjacency_distance(adj, ring1, ring2) != L:
-        return None
     hole1 = (ring1[0], ring1[2], ring1[1])
     hole2 = (ring2[0], ring2[2], ring2[1])
     try:
-        rot = rotation_system_from_faces(glued_faces + [hole1, hole2], len(survivors))
+        rot = rotation_system_from_faces(glued_faces + [hole1, hole2], n_total - L - 1)
         return EmbeddedGraph(rot, rings=(ring1, ring2))
     except CylColorError:
         return None
@@ -583,21 +653,29 @@ def generate_quad33(max_vertices: int) -> list[EmbeddedGraph]:
     Exhaustive and isomorph-free up to max_vertices.  Every member is
     obtained by cutting along a shortest path between the rings and
     quadrangulating the resulting disk, so iterating over all cut
-    lengths and all disk fillings reaches everything.  Only gluings
-    whose cut length L equals the ring distance are built: a longer cut
-    only re-derives a graph.  Cut lengths ascend and no cut is shorter
-    than the ring distance, so the first derivation of each class is a
-    shortest cut, and the kept representatives are those of the
-    unfiltered enumeration.
+    lengths and all disk fillings reaches everything.  The filler prunes
+    every branch whose gluing would have a loop or a cut longer than the
+    ring distance, so only shortest cuts are glued and built: a longer
+    cut only re-derives a graph.  Cut lengths ascend and no cut is
+    shorter than the ring distance, so the first derivation of each
+    class is a shortest cut, and the kept representatives are those of
+    the unfiltered enumeration.
     """
     if max_vertices < 6:
         raise InvalidParameter("max_vertices must be >= 6")
-    glued = (
-        _glue_quad33(faces, n_total, L)
-        for L in range(1, max_vertices - 4)
-        for faces, n_total in _fill_disk(6 + 2 * L, max_vertices - 5 - L)
-    )
-    return _isomorph_free(g for g in glued if g is not None and g.n <= max_vertices)
+    return _isomorph_free(_quad33_gluings(max_vertices))
+
+
+def _quad33_gluings(max_vertices: int) -> Iterator[EmbeddedGraph]:
+    """The maps glued from every shortest cut, in derivation order."""
+    for L in range(1, max_vertices - 4):
+        cut = _quad33_cut(L)
+        B, budget = 6 + 2 * L, max_vertices - 5 - L
+        remap = _glue_remap(cut, B + budget)
+        for faces, n_total in _fill_disk(B, budget, cut=cut):
+            g = _glue_quad33(faces, n_total, L, remap)
+            if g is not None:
+                yield g
 
 
 def is_quad33(g: EmbeddedGraph) -> bool:

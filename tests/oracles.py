@@ -496,14 +496,30 @@ def reference_is_contractible(g: EmbeddedGraph, cycle) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# tameness through the general cycle search
+# ---------------------------------------------------------------------------
+
+
+def reference_is_tame(g: EmbeddedGraph) -> bool:
+    """The library's former verdict: triangles from the cycle search, each
+    tested by splitting the faces along it."""
+    triangles = _cycles_up_to(g, 3)
+    if any(reference_is_contractible(g, t) for t in triangles):
+        return False
+    for i, t1 in enumerate(triangles):
+        for t2 in triangles[i + 1 :]:
+            if set(t1) & set(t2):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # 3,3-quadrangulations gluing every cut, shortest or not
 # ---------------------------------------------------------------------------
 
 
-def _ref_glue_quad33(faces, n_total: int, L: int):
-    from cylcolor.embedding import rotation_system_from_faces
-    from cylcolor.errors import CylColorError
-
+def _ref_quad33_remap(faces, n_total: int, L: int):
+    """Dense ids after gluing the cut of length L, or None for a loop."""
     B = 6 + 2 * L
     edges = {frozenset((f[i], f[(i + 1) % len(f)])) for f in faces for i in range(len(f))}
     nu = list(range(n_total))
@@ -517,12 +533,34 @@ def _ref_glue_quad33(faces, n_total: int, L: int):
         removed.add(drop)
     survivors = [v for v in range(n_total) if v not in removed]
     dense = {old: new for new, old in enumerate(survivors)}
-    remap = [dense[nu[v]] for v in range(n_total)]
+    return [dense[nu[v]] for v in range(n_total)]
+
+
+def reference_cut_is_shortest(faces, n_total: int, L: int) -> bool:
+    """The gluing of this filling has no loop and ring distance exactly L."""
+    remap = _ref_quad33_remap(faces, n_total, L)
+    if remap is None:
+        return False
+    G = nx.Graph()
+    G.add_edges_from(
+        (remap[f[i - 1]], remap[f[i]]) for f in faces for i in range(len(f))
+    )
+    dist = nx.multi_source_dijkstra_path_length(G, {remap[v] for v in (0, 1, 2)})
+    return min(dist[remap[v]] for v in (3 + L, 4 + L, 5 + L)) == L
+
+
+def _ref_glue_quad33(faces, n_total: int, L: int):
+    from cylcolor.embedding import rotation_system_from_faces
+    from cylcolor.errors import CylColorError
+
+    remap = _ref_quad33_remap(faces, n_total, L)
+    if remap is None:
+        return None
     glued = [tuple(remap[v] for v in f) for f in faces]
     holes = [tuple(remap[v] for v in (0, 2, 1)), tuple(remap[v] for v in (3 + L, 5 + L, 4 + L))]
     rings = (tuple(remap[v] for v in (0, 1, 2)), tuple(remap[v] for v in (3 + L, 4 + L, 5 + L)))
     try:
-        rot = rotation_system_from_faces(glued + holes, len(survivors))
+        rot = rotation_system_from_faces(glued + holes, len(set(remap)))
         return EmbeddedGraph(rot, rings=rings)
     except CylColorError:
         return None

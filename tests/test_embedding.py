@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -38,7 +39,13 @@ from cylcolor.families import (
 )
 
 import fixtures
-from oracles import nx_cycles, reference_is_contractible, reference_ring_faces, to_nx
+from oracles import (
+    nx_cycles,
+    reference_is_contractible,
+    reference_is_tame,
+    reference_ring_faces,
+    to_nx,
+)
 
 import networkx as nx
 
@@ -364,6 +371,15 @@ def test_contractible_triangle_not_tame():
 
 def test_shared_triangles_not_tame():
     assert not is_tame(fixtures.shared_vertex_quad33())
+
+
+def test_is_tame_matches_cycle_search_oracle():
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "quad33_le10.emg"
+    graphs = parse_emg_stream(corpus.read_text(encoding="ascii"))
+    graphs += generate_quad33(9) + generate_hexagon_disks(3)
+    verdicts = [is_tame(g) for g in graphs]
+    assert verdicts == [reference_is_tame(g) for g in graphs]
+    assert any(verdicts) and not all(verdicts)
 
 
 # -- relabeling ---------------------------------------------------------------

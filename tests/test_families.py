@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from cylcolor._canon import canonical_form
@@ -25,6 +27,8 @@ from cylcolor.errors import (
 )
 from cylcolor.families import (
     FRAME_CHOICES,
+    _fill_disk,
+    _quad33_cut,
     attach_pendant_ring,
     cylinder_grid,
     frame,
@@ -41,7 +45,14 @@ from cylcolor.families import (
 )
 
 import fixtures
-from oracles import atlas_quad33_count, brute_count, reference_quad33
+from oracles import (
+    atlas_quad33_count,
+    brute_count,
+    reference_cut_is_shortest,
+    reference_quad33,
+)
+
+FULL = os.environ.get("CYLCOLOR_FULL_ACCEPTANCE") == "1"
 
 
 # -- Thomas-Walls chain ---------------------------------------------------------
@@ -151,6 +162,12 @@ def test_patches_validate():
             if i not in fl.ring_faces:
                 assert len(f) == 4
         assert enumerate_short_cycles(patch, 3) == []
+
+
+def test_disk_generators_reject_negative_bound():
+    for generate in (generate_patches, generate_hexagon_disks):
+        with pytest.raises(InvalidParameter):
+            generate(-1)
 
 
 def test_hexagon_disks_include_chorded():
@@ -305,6 +322,38 @@ def test_quad33_matches_unfiltered_reference():
     for n in range(6, 10):
         got = [emit_emg(g) for g in generate_quad33(n)]
         assert got == [emit_emg(g) for g in reference_quad33(n)]
+
+
+def _cut_fill_args(n):
+    """(cut length, boundary length, internal-vertex budget) at bound n."""
+    return [(L, 6 + 2 * L, n - 5 - L) for L in range(1, n - 4)]
+
+
+def test_cut_pruned_fillings_are_the_kept_gluings():
+    # the pruned filler returns exactly the unpruned fillings whose gluing
+    # has no loop and ring distance L (by networkx), in the same order
+    for n in range(6, 11 if FULL else 10):
+        for L, B, budget in _cut_fill_args(n):
+            pruned = _fill_disk(B, budget, cut=_quad33_cut(L))
+            kept = [
+                (faces, n_total)
+                for faces, n_total in _fill_disk(B, budget)
+                if reference_cut_is_shortest(faces, n_total, L)
+            ]
+            assert pruned == kept, (n, L)
+
+
+@pytest.mark.parametrize(
+    "n, fillings",
+    [(9, 2764), pytest.param(10, 17263, marks=pytest.mark.skipif(
+        not FULL, reason="bound 10 via CYLCOLOR_FULL_ACCEPTANCE=1"))],
+)
+def test_cut_pruned_filling_counts(n, fillings):
+    # a work pin: the unpruned filler yields 13 960 fillings at bound 9
+    # and 123 428 at bound 10
+    assert sum(
+        len(_fill_disk(B, budget, cut=_quad33_cut(L))) for L, B, budget in _cut_fill_args(n)
+    ) == fillings
 
 
 def test_quad33_members_validate():
