@@ -18,6 +18,7 @@ from .coloring import Precoloring, _solve_first  # noqa: F401  (benchmark tracin
 from .embedding import (
     EmbeddedGraph,
     canon_cycle,
+    is_contractible,
     is_tame,
     _cycles_up_to,
     _face_sides,
@@ -161,18 +162,16 @@ def lemma_fr_audit(g: EmbeddedGraph, max_cycle_len: int = 6) -> list[str]:
     face_canons = {canon_cycle(f) for f in g.faces.faces}
     holes = set(g.faces.ring_faces)
     for cyc in _cycles_up_to(g, max(5, max_cycle_len)):
-        side_a, side_b = _face_sides(g, cyc)
-        hole_sides = [bool(holes & side_a), bool(holes & side_b)]
-        if all(hole_sides):
-            continue  # non-contractible
+        if not is_contractible(g, cyc):
+            continue
         if len(cyc) <= 5 and canon_cycle(cyc) not in face_canons:
             violations.append(f"contractible {len(cyc)}-cycle {cyc} does not bound a face")
         if len(cyc) > max_cycle_len:
             continue
         # every hole-free side is an open disk: it must be a single face
         # or contain quadrilaterals only
-        for side, has_hole in ((side_a, hole_sides[0]), (side_b, hole_sides[1])):
-            if has_hole or len(side) == 1:
+        for side in _face_sides(g, cyc):
+            if holes & side or len(side) == 1:
                 continue
             if any(len(g.faces.faces[i]) != 4 for i in side):
                 violations.append(

@@ -122,7 +122,7 @@ def _family_spec(args) -> families.FamilySpec:
         n=args.n,
         max_internal=args.max_internal,
         max_vertices=args.max_vertices,
-        patch_bound=getattr(args, "patch_bound", args.max_internal),
+        patch_bound=args.max_internal,
         width=args.width,
         layers=args.layers,
     )

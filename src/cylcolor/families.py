@@ -6,9 +6,12 @@ surgeries, 3,3-quadrangulations of the cylinder and their near variants,
 pendant-ring attachment, and cylindrical grids used as fixtures.
 
 Generators are exhaustive and isomorph-free: labeled enumeration with a
-fixed derivation order, deduplicated by canonical form.  The quad33
-generator fills a disk only along a cut that is a shortest path between
-the rings: the filler prunes longer cuts as it fills, since they
+fixed derivation order, deduplicated by canonical form.  Every disk
+generator shares one filler, which keeps one partial graph (a neighbour
+bitmask per vertex), refuses each new side that would be a loop or a
+parallel edge in it, and streams the fillings as it completes them.  The
+quad33 generator fills a disk only along a cut that is a shortest path
+between the rings: the filler prunes longer cuts as it fills, since they
 re-derive graphs that an earlier, shorter cut already gave, so the first
 representative of each class is unchanged.
 """
@@ -242,25 +245,12 @@ class _Cut:
     ring1: int
     ring2: int
 
-    def glued_with(self, adj: list[int], new_edges) -> list[int] | None:
-        """The glued partial graph ``adj`` (a neighbour bitmask per vertex)
-        with ``new_edges`` added, or None when one of them joins the two
-        copies of a glued vertex (a loop) or the rings come closer than L.
+    def rings_closer(self, adj: list[int]) -> bool:
+        """Whether the rings are closer than L in the glued graph ``adj``.
 
-        Dropping such a branch is exact: every completion keeps its edges,
-        and adding edges never lengthens a distance.
+        Refusing such a branch is exact: every completion keeps its
+        edges, and adding edges never lengthens a distance.
         """
-        keep = self.keep
-        B = len(keep)
-        adj = list(adj)
-        for e in new_edges:
-            u, v = e
-            u = keep[u] if u < B else u
-            v = keep[v] if v < B else v
-            if u == v:
-                return None
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
         reach = frontier = self.ring1
         for _ in range(self.length - 1):
             nxt = 0
@@ -270,134 +260,109 @@ class _Cut:
                 frontier ^= low
             frontier = nxt & ~reach
             if frontier & self.ring2:
-                return None
+                return True
             reach |= frontier
-        return adj
+        return False
 
 
 def _fill_disk(
     boundary_len: int,
     max_internal: int,
-    no_chords_within: frozenset[int] = frozenset(),
+    chordless: bool = False,
     cut: _Cut | None = None,
-) -> list[tuple[tuple[Cycle, ...], int]]:
+) -> Iterator[tuple[tuple[Cycle, ...], int]]:
     """All fillings of a boundary cycle by quadrilateral faces.
 
     Boundary vertices are 0..boundary_len-1; new internal vertices get
-    the next ids.  Returns (internal faces, total vertex count) for each
+    the next ids.  Yields (internal faces, total vertex count) for each
     completed filling; faces are oriented consistently with the boundary
     walk 0,1,...,B-1.  Labeled enumeration is duplicate-free: the face at
     the first dart of the active region is determined by the final
     object, so each filling has exactly one derivation.
 
-    With a ``cut`` (the quad33 generator's), the filler also keeps the
-    glued partial graph and drops a branch as soon as it adds a glued
-    loop or brings the rings closer than the cut length.  The fillings
-    returned are then exactly those whose gluing has no loop and ring
-    distance L, in the order of the unpruned enumeration.
+    The filler keeps one partial graph, a neighbour bitmask per vertex
+    in glued ids: those of the ``cut`` (the quad33 generator's), or the
+    disk's own ids without one.  A new side is refused when it is a loop
+    or parallel to an edge of that graph, or, when ``chordless``, when it
+    joins two boundary vertices.  With a cut, a branch is also dropped as
+    soon as the rings come closer than the cut length, so the fillings
+    are exactly those whose gluing is a map with ring distance L, in the
+    order of the unpruned enumeration.
     """
     B = boundary_len
-    results: list[tuple[tuple[Cycle, ...], int]] = []
-    edges0 = {frozenset((i, (i + 1) % B)) for i in range(B)}
-    adj0 = None
-    if cut is not None:
-        adj0 = cut.glued_with([0] * (B + max_internal), edges0)
+    glue = list(cut.keep if cut else range(B)) + list(range(B, B + max_internal))
+    adj = [0] * len(glue)
+    for i in range(B):
+        u, v = glue[i], glue[(i + 1) % B]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    yield from _fillings([list(range(B))], B, [], adj, glue, B if chordless else 0, cut)
 
-    def rec(regions, faces, edges, n_total, adj):
-        if not regions:
-            results.append((tuple(faces), n_total))
-            return
-        region = regions[-1]
-        rest = regions[:-1]
-        L = len(region)
-        a, b = region[0], region[1]
-        c_opts: list[tuple[str, int]] = [("pos", j) for j in range(2, L)] + [("new", -1)]
-        d_opts = list(c_opts)
-        for (ck, jc), (dk, jd) in product(c_opts, d_opts):
-            if ck == "pos" and dk == "pos" and jc >= jd:
-                continue
-            new_needed = (ck == "new") + (dk == "new")
-            if n_total + new_needed > B + max_internal:
-                continue
-            nxt = n_total
-            if ck == "new":
-                c = nxt
-                nxt += 1
-            else:
-                c = region[jc]
-            if dk == "new":
-                d = nxt
-                nxt += 1
-            else:
-                d = region[jd]
-            # edge b-c
-            new_edges = []
-            if ck == "pos":
-                if jc == 2:
-                    pass  # walk edge
-                elif frozenset((b, c)) in edges or (b in no_chords_within and c in no_chords_within):
-                    continue
-                else:
-                    new_edges.append(frozenset((b, c)))
-            else:
-                new_edges.append(frozenset((b, c)))
-            # edge c-d
-            if ck == "pos" and dk == "pos":
-                if jd == jc + 1:
-                    pass  # walk edge
-                elif frozenset((c, d)) in edges or (c in no_chords_within and d in no_chords_within):
-                    continue
-                else:
-                    new_edges.append(frozenset((c, d)))
-            else:
-                new_edges.append(frozenset((c, d)))
-            # edge d-a
-            if dk == "pos":
-                if jd == L - 1:
-                    pass  # walk edge
-                elif frozenset((d, a)) in edges or (d in no_chords_within and a in no_chords_within):
-                    continue
-                else:
-                    new_edges.append(frozenset((d, a)))
-            else:
-                new_edges.append(frozenset((d, a)))
 
-            # remaining sub-regions after carving the quad (a, b, c, d)
-            if ck == "new" and dk == "new":
-                pieces = [region[1:] + [a, d, c]]
-            elif ck == "pos" and dk == "new":
-                pieces = [region[1 : jc + 1], region[jc:] + [a, d]]
-            elif ck == "new" and dk == "pos":
-                pieces = [region[jd:] + [a], region[1 : jd + 1] + [c]]
-            else:
-                pieces = [
-                    region[1 : jc + 1],
-                    region[jc : jd + 1],
-                    region[jd:] + [a],
-                ]
-            keep = []
-            ok = True
-            for p in pieces:
-                if len(p) == 2:
-                    continue
-                if len(p) % 2 == 1 or len(p) < 4:
-                    ok = False
-                    break
-                keep.append(p)
-            if not ok:
-                continue
-            child = adj
-            if cut is not None and new_edges:
-                child = cut.glued_with(adj, new_edges)
-                if child is None:
-                    continue
-            rec(rest + keep, faces + [(a, b, c, d)], edges | set(new_edges), nxt, child)
+def _fillings(regions, n_total, faces, adj, glue, chords_below, cut):
+    """The completions of a partial filling, in derivation order.
 
-    rec([list(range(B))], [], edges0, B, adj0)
-    # rec refers to itself through its closure; break that cycle, or it
-    # keeps results alive after the caller drops them, until a collection
-    del rec
-    return results
+    ``regions`` are the unfilled cycles (the last one is filled next),
+    ``faces`` the faces so far and ``adj`` the glued partial graph; both
+    are extended in place and restored before returning.  A side joining
+    two vertices below ``chords_below`` is a refused chord.
+    """
+    if not regions:
+        yield tuple(faces), n_total
+        return
+    region = regions[-1]
+    rest = regions[:-1]
+    L = len(region)
+    a, b = region[0], region[1]
+    opts = list(range(2, L)) + [None]  # a position on the region, or a new vertex
+    for jc, jd in product(opts, opts):
+        if jc is not None and jd is not None and jc >= jd:
+            continue
+        nxt = n_total + (jc is None) + (jd is None)
+        if nxt > len(adj):
+            continue
+        c = n_total if jc is None else region[jc]
+        d = nxt - 1 if jd is None else region[jd]
+        # remaining sub-regions after carving the quad (a, b, c, d)
+        if jc is None and jd is None:
+            pieces = [region[1:] + [a, d, c]]
+        elif jd is None:
+            pieces = [region[1 : jc + 1], region[jc:] + [a, d]]
+        elif jc is None:
+            pieces = [region[jd:] + [a], region[1 : jd + 1] + [c]]
+        else:
+            pieces = [region[1 : jc + 1], region[jc : jd + 1], region[jd:] + [a]]
+        if any(len(p) % 2 for p in pieces):
+            continue
+        # the quad's sides other than walk edges of the region
+        sides = []
+        if jc != 2:
+            sides.append((b, c))
+        if jc is None or jd != jc + 1:
+            sides.append((c, d))
+        if jd != L - 1:
+            sides.append((d, a))
+        added = []
+        for x, y in sides:
+            if x < chords_below and y < chords_below:
+                break
+            x, y = glue[x], glue[y]
+            if x == y or adj[x] >> y & 1:
+                break
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
+            added.append((x, y))
+        else:
+            if not (cut and added and cut.rings_closer(adj)):
+                faces.append((a, b, c, d))
+                yield from _fillings(
+                    rest + [p for p in pieces if len(p) > 2],
+                    nxt, faces, adj, glue, chords_below, cut,
+                )
+                faces.pop()
+        for x, y in added:
+            adj[x] ^= 1 << y
+            adj[y] ^= 1 << x
 
 
 def _disk_graph(faces: tuple[Cycle, ...], n_total: int, boundary_len: int) -> EmbeddedGraph:
@@ -421,7 +386,7 @@ def generate_patches(max_internal: int) -> list[EmbeddedGraph]:
         raise InvalidParameter("max_internal must be >= 0")
     return _isomorph_free(
         _disk_graph(faces, n_total, 6)
-        for faces, n_total in _fill_disk(6, max_internal, frozenset(range(6)))
+        for faces, n_total in _fill_disk(6, max_internal, chordless=True)
     )
 
 
@@ -627,24 +592,22 @@ def _glue_remap(cut: _Cut, n_total: int) -> list[int]:
 
 def _glue_quad33(
     faces: tuple[Cycle, ...], n_total: int, L: int, remap: list[int]
-) -> EmbeddedGraph | None:
+) -> EmbeddedGraph:
     """Close a filled disk into a cylinder with two triangle holes.
 
     ``remap`` takes each disk vertex to its dense id after gluing along
-    ``_quad33_cut(L)``.  The filler has already dropped every filling
-    whose gluing has a loop or ring distance below L, so this only builds
-    the map; it returns None for a gluing that is not a map.
+    ``_quad33_cut(L)``.  The filler has refused every loop and every
+    glued parallel edge, so each glued dart lies in exactly one face and
+    every filling is a map: a gluing that still fails raises instead of
+    silently losing a class.
     """
     glued_faces = [tuple(remap[v] for v in f) for f in faces]
     ring1 = tuple(remap[v] for v in (0, 1, 2))
     ring2 = tuple(remap[v] for v in (3 + L, 4 + L, 5 + L))
     hole1 = (ring1[0], ring1[2], ring1[1])
     hole2 = (ring2[0], ring2[2], ring2[1])
-    try:
-        rot = rotation_system_from_faces(glued_faces + [hole1, hole2], n_total - L - 1)
-        return EmbeddedGraph(rot, rings=(ring1, ring2))
-    except CylColorError:
-        return None
+    rot = rotation_system_from_faces(glued_faces + [hole1, hole2], n_total - L - 1)
+    return EmbeddedGraph(rot, rings=(ring1, ring2))
 
 
 def generate_quad33(max_vertices: int) -> list[EmbeddedGraph]:
@@ -654,12 +617,12 @@ def generate_quad33(max_vertices: int) -> list[EmbeddedGraph]:
     obtained by cutting along a shortest path between the rings and
     quadrangulating the resulting disk, so iterating over all cut
     lengths and all disk fillings reaches everything.  The filler prunes
-    every branch whose gluing would have a loop or a cut longer than the
-    ring distance, so only shortest cuts are glued and built: a longer
-    cut only re-derives a graph.  Cut lengths ascend and no cut is
-    shorter than the ring distance, so the first derivation of each
-    class is a shortest cut, and the kept representatives are those of
-    the unfiltered enumeration.
+    every branch whose gluing would have a loop, a parallel edge or a cut
+    longer than the ring distance, so only shortest cuts are glued and
+    built: a longer cut only re-derives a graph.  Cut lengths ascend and
+    no cut is shorter than the ring distance, so the first derivation of
+    each class is a shortest cut, and the kept representatives are those
+    of the unfiltered enumeration.
     """
     if max_vertices < 6:
         raise InvalidParameter("max_vertices must be >= 6")
@@ -673,9 +636,7 @@ def _quad33_gluings(max_vertices: int) -> Iterator[EmbeddedGraph]:
         B, budget = 6 + 2 * L, max_vertices - 5 - L
         remap = _glue_remap(cut, B + budget)
         for faces, n_total in _fill_disk(B, budget, cut=cut):
-            g = _glue_quad33(faces, n_total, L, remap)
-            if g is not None:
-                yield g
+            yield _glue_quad33(faces, n_total, L, remap)
 
 
 def is_quad33(g: EmbeddedGraph) -> bool:

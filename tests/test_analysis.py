@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylcolor import analysis
 from cylcolor._canon import canonical_form
 from cylcolor.analysis import (
     census,
@@ -40,7 +41,7 @@ from cylcolor.families import (
 )
 
 import fixtures
-from oracles import reference_canonical_form, reference_is_critical
+from oracles import reference_canonical_form, reference_is_contractible, reference_is_critical
 
 
 # -- criticality ------------------------------------------------------------------
@@ -158,6 +159,18 @@ def test_audit_flags_nonfacial_short_cycle():
     g = fixtures.pentagon_disk_two_faces()
     violations = lemma_fr_audit(g)
     assert violations
+
+
+def test_audit_contractibility_matches_face_split_oracle(monkeypatch):
+    # the audit reads contractibility from embedding.is_contractible; the
+    # same audit with each cycle classified by splitting its faces must
+    # report the same violations
+    graphs = [g for _, g in fixtures.cylinder_corpus()]
+    graphs += [fixtures.subdivided_prism(), fixtures.pentagon_disk_two_faces()]
+    got = [lemma_fr_audit(g, m) for g in graphs for m in (5, 6)]
+    assert sum(map(len, got)) > 0
+    monkeypatch.setattr(analysis, "is_contractible", reference_is_contractible)
+    assert [lemma_fr_audit(g, m) for g in graphs for m in (5, 6)] == got
 
 
 # -- face statistics -------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylcolor.cli import main
+from cylcolor.cli import _FAMILY_KINDS, main
 from cylcolor.embedding import emit_emg, parse_emg, parse_emg_stream
 from cylcolor.families import near_quad33
 
@@ -442,5 +442,70 @@ def test_exit_code_contract_on_mutated_input(text, edits, argv):
     with mock.patch.object(sys, "stdin", io.StringIO(_mutate(text, edits))):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+# -- exit-code contract under fuzzed arguments ------------------------------------
+
+_NUM = st.integers(-3, 9)
+_VERTICES = st.lists(_NUM, max_size=5).map(lambda vs: ",".join(map(str, vs)))
+_PRECOLOR = st.lists(st.tuples(_NUM, st.integers(-1, 4)), max_size=4).map(
+    lambda ps: ",".join(f"{v}={c}" for v, c in ps)
+)
+# the generators that grow fastest get a lower ceiling: disk fillings grow
+# about fivefold per internal vertex, and near-quad33 at 9 vertices takes 2 s
+_GEN_CEILING = {"patches": 4, "hexagon-disks": 4, "near-quad33": 8}
+
+
+def _opt(flag: str, values) -> st.SearchStrategy:
+    """The flag with a drawn value: absent, once, or repeated."""
+    return st.lists(values.map(lambda v: [flag, str(v)]), max_size=2).map(
+        lambda pairs: [t for pair in pairs for t in pair]
+    )
+
+
+def _argv(verb: str, *opts) -> st.SearchStrategy:
+    return st.tuples(*opts).map(lambda parts: [verb] + [t for p in parts for t in p])
+
+
+def _gen_argv(family: str) -> st.SearchStrategy:
+    top = _GEN_CEILING.get(family, 9)
+    size = st.integers(-3, top)
+    return _argv(
+        "gen", st.just(["--family", family]), _opt("--n", _NUM),
+        _opt("--max-internal", size), _opt("--max-vertices", size),
+        _opt("--width", _NUM), _opt("--layers", _NUM),
+    )
+
+
+_FUZZ_ARGV = st.one_of(
+    _argv("identify", _opt("--face", _VERTICES), _opt("--diagonal", st.sampled_from(["13", "24", "31"]))),
+    _argv("contract-ladder", _opt("--q2", _VERTICES), _opt("--q3", _VERTICES)),
+    _argv("cut", _opt("--d0", _NUM)),
+    _argv("attach-ring", _opt("--vertex", _NUM)),
+    _argv("color", _opt("--precolor", _PRECOLOR)),
+    _argv("count", _opt("--precolor", _PRECOLOR)),
+    st.sampled_from(list(_FAMILY_KINDS)).flatmap(_gen_argv),
+    _argv(
+        "census", st.sampled_from([["--family", f] for f in ("quad33", "framed-tw", "stdin")]),
+        # always bounded: the default catalog bound of 20 builds for 20 s
+        st.integers(-3, 10).map(lambda v: ["--catalog-bound", str(v)]),
+        _opt("--max-vertices", st.integers(-3, 8)), _opt("--patch-bound", _NUM),
+    ),
+)
+
+
+@given(st.sampled_from(_FUZZ_SEEDS), _FUZZ_ARGV)
+@settings(max_examples=200, deadline=None)
+def test_exit_code_contract_on_fuzzed_arguments(text, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the usage
+                code = exc.code
+                assert code == 2
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()

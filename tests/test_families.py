@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
@@ -27,6 +28,7 @@ from cylcolor.errors import (
 )
 from cylcolor.families import (
     FRAME_CHOICES,
+    FamilySpec,
     _fill_disk,
     _quad33_cut,
     attach_pendant_ring,
@@ -334,7 +336,7 @@ def test_cut_pruned_fillings_are_the_kept_gluings():
     # has no loop and ring distance L (by networkx), in the same order
     for n in range(6, 11 if FULL else 10):
         for L, B, budget in _cut_fill_args(n):
-            pruned = _fill_disk(B, budget, cut=_quad33_cut(L))
+            pruned = list(_fill_disk(B, budget, cut=_quad33_cut(L)))
             kept = [
                 (faces, n_total)
                 for faces, n_total in _fill_disk(B, budget)
@@ -352,7 +354,7 @@ def test_cut_pruned_filling_counts(n, fillings):
     # a work pin: the unpruned filler yields 13 960 fillings at bound 9
     # and 123 428 at bound 10
     assert sum(
-        len(_fill_disk(B, budget, cut=_quad33_cut(L))) for L, B, budget in _cut_fill_args(n)
+        len(list(_fill_disk(B, budget, cut=_quad33_cut(L)))) for L, B, budget in _cut_fill_args(n)
     ) == fillings
 
 
@@ -374,6 +376,38 @@ def test_quad33_members_validate():
 def test_quad33_invalid_bound():
     with pytest.raises(InvalidParameter):
         generate_quad33(5)
+
+
+# sha256 of the `cylcolor gen` EMG stream of each generator.  They pin the
+# representatives and their order independently of the disk filler, which
+# reference_quad33 shares.
+_STREAM_DIGESTS = {
+    ("quad33", 6): "522d55d96e9db5c095d252d92edae90dc390af250328c8c5389ff5e9b5ed1546",
+    ("quad33", 7): "0863e54a4ef060f9061e713260a8cc4fddde801dea2fd80ec759169ad7a02c3c",
+    ("quad33", 8): "9f7434e6df8ba05a26d64ecd3c72730b4dc10b800e84340b2c21d51057eac84e",
+    ("quad33", 9): "29366f13a689cb8c9e7401195b21ad48f2f94c9d99ff4cbcc5527e07d0a5e4cb",
+    ("hexagon_disks", 0): "64176a838c7fa546b09b1e8dd3e16e0495caa4e2aaf12d844015347b18d2a142",
+    ("hexagon_disks", 1): "388d819253ec346b79ba9bfda470a7a19217f2eb20cc49577f79a876bd0a637b",
+    ("hexagon_disks", 2): "12b05a473f00281e316f86ba2919d8c7a431dd8eadd3a90c59f0067fa1efe9d4",
+    ("hexagon_disks", 3): "37faef7bbd933ccef68932570f0773b0e9fae93e18da4093e246466e0030b4cf",
+    ("hexagon_disks", 4): "08a6df1bdbb0b7ac644a3a17b341fecf819150f54ed52dee1d627440ca63452a",
+    ("patches", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("patches", 1): "9b632ec6bf978a1d2833bb738a9cb0e0446f50a5a031f690a8269abcccbaa19e",
+    ("patches", 2): "81429a17cccc553366f683e11e05bc40899b67f012f9cc77fc5fc4d97ff8e2cd",
+    ("patches", 3): "2903f17fb617bb644e8a6fc1d2a7efd2c53973f4c0e5954c8c32e3db2440c999",
+    ("patches", 4): "ad39a88bbbcbc99182ff2d55e1076bc83b7a5bfc19443d4fec5847cabcf50e3b",
+    ("near_quad33", 8): "e1560d2cf2c079cfc3fbb87a32e4fedf31c2a385651a73024a2620d98f099538",
+}
+
+
+@pytest.mark.parametrize("kind, bound", list(_STREAM_DIGESTS))
+def test_generator_stream_digests(kind, bound):
+    if kind in ("quad33", "near_quad33"):
+        spec = FamilySpec(kind, max_vertices=bound)
+    else:
+        spec = FamilySpec(kind, max_internal=bound)
+    stream = "".join(emit_emg(g) for g in spec.realize())
+    assert hashlib.sha256(stream.encode()).hexdigest() == _STREAM_DIGESTS[kind, bound]
 
 
 # -- near 3,3-quadrangulations --------------------------------------------------------
