@@ -19,7 +19,7 @@ def _transcript(g: EmbeddedGraph, u0: int, v0: int, flip: bool, best):
     each vertex are compared, so a root costs linear time.
     """
     rotations = g.rotations
-    n = g.n
+    n = len(rotations)
     labels = [-1] * n
     order = [u0]
     entry = [-1] * n
@@ -55,8 +55,14 @@ def _transcript(g: EmbeddedGraph, u0: int, v0: int, flip: bool, best):
 
 
 def canonical_form(g: EmbeddedGraph) -> bytes:
-    """Ring-respecting canonical encoding of the embedded map."""
-    n = g.n
+    """Ring-respecting canonical encoding of the embedded map.
+
+    Reads only ``g.rotations`` and ``g.rings`` (with n = len(rotations)),
+    so it also encodes a rotation table that was never validated, such as
+    a generator's ``(rotations, rings)`` pair.  Every row of the table
+    must hold ids in range(n).
+    """
+    n = len(g.rotations)
     hits = [0] * n
     for ring in g.rings:
         for v in ring:

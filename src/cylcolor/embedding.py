@@ -25,16 +25,19 @@ Cycle = tuple[int, ...]
 
 
 def canon_cycle(seq: Sequence[int]) -> Cycle:
-    """Smallest tuple representing a cyclic sequence up to rotation and reflection."""
-    fwd = list(seq)
-    best: Cycle | None = None
-    for s in (fwd, fwd[::-1]):
-        for i in range(len(s)):
-            cand = tuple(s[i:]) + tuple(s[:i])
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    """Smallest tuple representing a cyclic sequence up to rotation and reflection.
+
+    That tuple starts with the smallest element, so the only candidates
+    are the walks both ways from each position of it.
+    """
+    fwd = tuple(seq)
+    low = min(fwd)
+    cands = []
+    for i, x in enumerate(fwd):
+        if x == low:
+            walk = fwd[i:] + fwd[:i]
+            cands += (walk, walk[:1] + walk[:0:-1])
+    return min(cands)
 
 
 @dataclass(frozen=True)
@@ -344,18 +347,11 @@ def distance(g: EmbeddedGraph, h1: Iterable[int], h2: Iterable[int]) -> float:
 
     Returns math.inf when no path exists.
     """
-    return adjacency_distance(g.rotations, h1, h2)
-
-
-def adjacency_distance(
-    adj: Sequence[Iterable[int]], h1: Iterable[int], h2: Iterable[int]
-) -> float:
-    """distance() on plain neighbor lists, for a graph not yet validated as a map."""
     src = set(h1)
     dst = set(h2)
     if not src or not dst:
         raise ValueError("both vertex sets must be nonempty")
-    for d, layer in enumerate(bfs_layers(adj, src)):
+    for d, layer in enumerate(bfs_layers(g.rotations, src)):
         if not dst.isdisjoint(layer):
             return d
     return math.inf

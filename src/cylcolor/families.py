@@ -6,21 +6,24 @@ surgeries, 3,3-quadrangulations of the cylinder and their near variants,
 pendant-ring attachment, and cylindrical grids used as fixtures.
 
 Generators are exhaustive and isomorph-free: labeled enumeration with a
-fixed derivation order, deduplicated by canonical form.  Every disk
-generator shares one filler, which keeps one partial graph (a neighbour
-bitmask per vertex), refuses each new side that would be a loop or a
-parallel edge in it, and streams the fillings as it completes them.  The
-quad33 generator fills a disk only along a cut that is a shortest path
-between the rings: the filler prunes longer cuts as it fills, since they
-re-derive graphs that an earlier, shorter cut already gave, so the first
-representative of each class is unchanged.
+fixed derivation order, deduplicated by canonical form.  The disk
+generators yield raw rotation tables, which are canonicalized first:
+only the first table of each class is built and validated as a map, and
+a duplicate costs one canonical form.  Every disk generator shares one
+filler, which keeps one partial graph (a neighbour bitmask per vertex),
+refuses each new side that would be a loop or a parallel edge in it, and
+streams the fillings as it completes them.  The quad33 generator fills
+a disk only along a cut that is a shortest path between the rings: the
+filler prunes longer cuts as it fills, since they re-derive graphs that
+an earlier, shorter cut already gave, so the first representative of
+each class is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ._canon import canonical_form
 from .embedding import (
@@ -113,11 +116,31 @@ class FamilySpec:
         )
 
 
-def _isomorph_free(graphs: Iterable[EmbeddedGraph]) -> list[EmbeddedGraph]:
-    """The first graph of each isomorphism class, in canonical-form order."""
+class _Table(NamedTuple):
+    """A rotation table with its rings, not yet validated as a map."""
+
+    rotations: tuple[tuple[int, ...], ...]
+    rings: tuple[Cycle, ...]
+
+
+def _isomorph_free(maps: Iterable[EmbeddedGraph | _Table]) -> list[EmbeddedGraph]:
+    """The first map of each isomorphism class, in canonical-form order.
+
+    A table is built, and so validated, only when it is the first of its
+    class; a later one is dropped unbuilt.  That is sound: the code holds
+    one block per vertex its transcript reached, so when a table has the
+    code of a validated map with as many vertices, the transcript reached
+    every vertex of the table, and the table is that map relabeled, or
+    its mirror image, with the same rings: it is valid too.  A table whose
+    code matches a kept map with another vertex count was not reached
+    whole, and is built so that validation raises.
+    """
     seen: dict[bytes, EmbeddedGraph] = {}
-    for g in graphs:
-        seen.setdefault(canonical_form(g), g)
+    for m in maps:
+        key = canonical_form(m)
+        kept = seen.get(key)
+        if kept is None or kept.n != len(m.rotations):
+            seen[key] = m if isinstance(m, EmbeddedGraph) else EmbeddedGraph(*m)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -365,10 +388,10 @@ def _fillings(regions, n_total, faces, adj, glue, chords_below, cut):
             adj[y] ^= 1 << x
 
 
-def _disk_graph(faces: tuple[Cycle, ...], n_total: int, boundary_len: int) -> EmbeddedGraph:
+def _disk_table(faces: tuple[Cycle, ...], n_total: int, boundary_len: int) -> _Table:
     hole = (0,) + tuple(range(boundary_len - 1, 0, -1))
     rot = rotation_system_from_faces(list(faces) + [hole], n_total)
-    return EmbeddedGraph(rot, rings=(tuple(range(boundary_len)),))
+    return _Table(rot, (tuple(range(boundary_len)),))
 
 
 def generate_hexagon_disks(max_internal: int) -> list[EmbeddedGraph]:
@@ -376,7 +399,7 @@ def generate_hexagon_disks(max_internal: int) -> list[EmbeddedGraph]:
     if max_internal < 0:
         raise InvalidParameter("max_internal must be >= 0")
     return _isomorph_free(
-        _disk_graph(faces, n_total, 6) for faces, n_total in _fill_disk(6, max_internal)
+        _disk_table(faces, n_total, 6) for faces, n_total in _fill_disk(6, max_internal)
     )
 
 
@@ -385,7 +408,7 @@ def generate_patches(max_internal: int) -> list[EmbeddedGraph]:
     if max_internal < 0:
         raise InvalidParameter("max_internal must be >= 0")
     return _isomorph_free(
-        _disk_graph(faces, n_total, 6)
+        _disk_table(faces, n_total, 6)
         for faces, n_total in _fill_disk(6, max_internal, chordless=True)
     )
 
@@ -592,8 +615,8 @@ def _glue_remap(cut: _Cut, n_total: int) -> list[int]:
 
 def _glue_quad33(
     faces: tuple[Cycle, ...], n_total: int, L: int, remap: list[int]
-) -> EmbeddedGraph:
-    """Close a filled disk into a cylinder with two triangle holes.
+) -> _Table:
+    """Close a filled disk into the table of a cylinder with two triangle holes.
 
     ``remap`` takes each disk vertex to its dense id after gluing along
     ``_quad33_cut(L)``.  The filler has refused every loop and every
@@ -607,7 +630,7 @@ def _glue_quad33(
     hole1 = (ring1[0], ring1[2], ring1[1])
     hole2 = (ring2[0], ring2[2], ring2[1])
     rot = rotation_system_from_faces(glued_faces + [hole1, hole2], n_total - L - 1)
-    return EmbeddedGraph(rot, rings=(ring1, ring2))
+    return _Table(rot, (ring1, ring2))
 
 
 def generate_quad33(max_vertices: int) -> list[EmbeddedGraph]:
@@ -618,8 +641,8 @@ def generate_quad33(max_vertices: int) -> list[EmbeddedGraph]:
     quadrangulating the resulting disk, so iterating over all cut
     lengths and all disk fillings reaches everything.  The filler prunes
     every branch whose gluing would have a loop, a parallel edge or a cut
-    longer than the ring distance, so only shortest cuts are glued and
-    built: a longer cut only re-derives a graph.  Cut lengths ascend and
+    longer than the ring distance, so only shortest cuts are glued: a
+    longer cut only re-derives a graph.  Cut lengths ascend and
     no cut is shorter than the ring distance, so the first derivation of
     each class is a shortest cut, and the kept representatives are those
     of the unfiltered enumeration.
@@ -629,8 +652,8 @@ def generate_quad33(max_vertices: int) -> list[EmbeddedGraph]:
     return _isomorph_free(_quad33_gluings(max_vertices))
 
 
-def _quad33_gluings(max_vertices: int) -> Iterator[EmbeddedGraph]:
-    """The maps glued from every shortest cut, in derivation order."""
+def _quad33_gluings(max_vertices: int) -> Iterator[_Table]:
+    """The tables glued from every shortest cut, in derivation order."""
     for L in range(1, max_vertices - 4):
         cut = _quad33_cut(L)
         B, budget = 6 + 2 * L, max_vertices - 5 - L

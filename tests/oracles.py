@@ -7,10 +7,11 @@ solver is the library's former recursive kernel (same branching order,
 so the same first solution), and the criticality references compare
 whole extendable sets after every trial deletion.  The chain oracle
 tries every subsequence of the short non-contractible cycles.  The
-canonical-form, hole-face, contractibility and quad33 references are
-the library's former versions: whole-prefix transcript comparison, a
-scan of every face, splitting the faces along the cycle, and gluing
-every cut of every length.
+canonical-form, cycle-canon, hole-face, contractibility and quad33
+references are the library's former versions: whole-prefix transcript
+comparison, trying every rotation of a cycle, a scan of every face,
+splitting the faces along the cycle, and gluing and building every cut
+of every length, deduplicated here.
 """
 
 from __future__ import annotations
@@ -19,9 +20,22 @@ from itertools import combinations, product
 
 import networkx as nx
 
-from cylcolor.embedding import EmbeddedGraph, canon_cycle, compress_rotations, _cycles_up_to
+from cylcolor.embedding import EmbeddedGraph, compress_rotations, _cycles_up_to
 
 COLORS = (1, 2, 3)
+
+
+def reference_canon_cycle(seq) -> tuple[int, ...]:
+    """Smallest tuple over every rotation of the sequence and of its reverse."""
+    fwd = list(seq)
+    best = None
+    for s in (fwd, fwd[::-1]):
+        for i in range(len(s)):
+            cand = tuple(s[i:]) + tuple(s[:i])
+            if best is None or cand < best:
+                best = cand
+    assert best is not None
+    return best
 
 
 def to_nx(g: EmbeddedGraph) -> nx.Graph:
@@ -365,18 +379,18 @@ def max_chain_exhaustive(g: EmbeddedGraph) -> int:
 
     refs, sides = _chain_candidates(g)
     ring1, ring2 = g.rings
-    byc = {canon_cycle(r.vertices): r.vertices for r in refs}
-    c0 = byc[canon_cycle(ring1)]
-    cn = byc[canon_cycle(ring2)]
+    byc = {reference_canon_cycle(r.vertices): r.vertices for r in refs}
+    c0 = byc[reference_canon_cycle(ring1)]
+    cn = byc[reference_canon_cycle(ring2)]
     if c0 == cn:
         return 1
-    triangles = {canon_cycle(c) for c in _cycles_up_to(g, 3)}
+    triangles = {reference_canon_cycle(c) for c in _cycles_up_to(g, 3)}
     middle = [r.vertices for r in refs if r.vertices not in (c0, cn)]
     best = 0
     for r in range(len(middle) + 1):
         for sub in combinations(middle, r):
             seq = [c0] + sorted(sub, key=lambda c: len(sides[c])) + [cn]
-            if {canon_cycle(c) for c in seq} >= triangles and _valid_chain_seq(seq, sides):
+            if {reference_canon_cycle(c) for c in seq} >= triangles and _valid_chain_seq(seq, sides):
                 best = max(best, len(seq) - 1)
     return best
 
@@ -455,7 +469,7 @@ def reference_canonical_form(g: EmbeddedGraph) -> bytes:
             code, labels = _ref_transcript(g, u0, v0, flip, best)
             if code is None:
                 continue
-            rings = sorted(canon_cycle([labels[v] for v in ring]) for ring in g.rings)
+            rings = sorted(reference_canon_cycle([labels[v] for v in ring]) for ring in g.rings)
             for ring in rings:
                 code.append(-1)
                 code.extend(ring)
@@ -473,7 +487,7 @@ def reference_ring_faces(g: EmbeddedGraph) -> tuple[int, ...]:
     """Hole face indices: every face equal to the ring, first distinct pair."""
     faces = g.faces.faces
     candidates = [
-        [i for i, f in enumerate(faces) if canon_cycle(f) == canon_cycle(ring)]
+        [i for i, f in enumerate(faces) if reference_canon_cycle(f) == reference_canon_cycle(ring)]
         for ring in g.rings
     ]
     if len(candidates) <= 1:
@@ -537,14 +551,20 @@ def _ref_quad33_remap(faces, n_total: int, L: int):
 
 
 def reference_cut_is_shortest(faces, n_total: int, L: int) -> bool:
-    """The gluing of this filling has no loop and ring distance exactly L."""
+    """The gluing of this filling has no loop, no parallel edge and ring
+    distance exactly L.
+
+    Every glued edge is walked by the faces at most once each way, so a
+    glued dart that repeats is a parallel edge.
+    """
     remap = _ref_quad33_remap(faces, n_total, L)
     if remap is None:
         return False
+    darts = [(remap[f[i - 1]], remap[f[i]]) for f in faces for i in range(len(f))]
+    if len(set(darts)) != len(darts):
+        return False
     G = nx.Graph()
-    G.add_edges_from(
-        (remap[f[i - 1]], remap[f[i]]) for f in faces for i in range(len(f))
-    )
+    G.add_edges_from(darts)
     dist = nx.multi_source_dijkstra_path_length(G, {remap[v] for v in (0, 1, 2)})
     return min(dist[remap[v]] for v in (3 + L, 4 + L, 5 + L)) == L
 
@@ -567,12 +587,15 @@ def _ref_glue_quad33(faces, n_total: int, L: int):
 
 
 def reference_quad33(max_vertices: int) -> list[EmbeddedGraph]:
-    """generate_quad33 building and deduplicating the gluing of every cut."""
-    from cylcolor.families import _fill_disk, _isomorph_free
+    """generate_quad33 building the gluing of every cut, keeping the first
+    map of each class and sorting by canonical form."""
+    from cylcolor._canon import canonical_form
+    from cylcolor.families import _fill_disk
 
-    glued = (
-        _ref_glue_quad33(faces, n_total, L)
-        for L in range(1, max_vertices - 4)
-        for faces, n_total in _fill_disk(6 + 2 * L, max_vertices - 5 - L)
-    )
-    return _isomorph_free(g for g in glued if g is not None and g.n <= max_vertices)
+    seen: dict[bytes, EmbeddedGraph] = {}
+    for L in range(1, max_vertices - 4):
+        for faces, n_total in _fill_disk(6 + 2 * L, max_vertices - 5 - L):
+            g = _ref_glue_quad33(faces, n_total, L)
+            if g is not None and g.n <= max_vertices:
+                seen.setdefault(canonical_form(g), g)
+    return [seen[k] for k in sorted(seen)]

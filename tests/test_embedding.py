@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from cylcolor.families import (
 import fixtures
 from oracles import (
     nx_cycles,
+    reference_canon_cycle,
     reference_is_contractible,
     reference_is_tame,
     reference_ring_faces,
@@ -317,6 +319,21 @@ def test_traversals_match_networkx():
 def test_distance_intersecting_sets():
     g = fixtures.prism()
     assert distance(g, {0, 1}, {1, 2}) == 0
+
+
+def test_distance_empty_and_unreachable_sets():
+    g = fixtures.prism()
+    with pytest.raises(ValueError):
+        distance(g, set(), {0})
+    with pytest.raises(ValueError):
+        distance(g, {0}, ())
+    assert distance(g, {0}, {g.n}) == math.inf
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=10))
+def test_canon_cycle_matches_every_rotation_reference(seq):
+    assert canon_cycle(seq) == reference_canon_cycle(seq)
+    assert canon_cycle(tuple(seq)) == reference_canon_cycle(seq)
 
 
 # -- short cycle enumeration -------------------------------------------------

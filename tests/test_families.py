@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +17,13 @@ from cylcolor.embedding import (
     emit_emg,
     enumerate_short_cycles,
     is_tame,
+    parse_emg_stream,
     trace_faces,
 )
+from cylcolor import families
 from cylcolor.errors import (
     EdgeNotOnRing,
+    EulerViolation,
     InvalidParameter,
     NotIndependent,
     RingVertex,
@@ -29,7 +33,9 @@ from cylcolor.errors import (
 from cylcolor.families import (
     FRAME_CHOICES,
     FamilySpec,
+    _Table,
     _fill_disk,
+    _isomorph_free,
     _quad33_cut,
     attach_pendant_ring,
     cylinder_grid,
@@ -408,6 +414,56 @@ def test_generator_stream_digests(kind, bound):
         spec = FamilySpec(kind, max_internal=bound)
     stream = "".join(emit_emg(g) for g in spec.realize())
     assert hashlib.sha256(stream.encode()).hexdigest() == _STREAM_DIGESTS[kind, bound]
+
+
+# -- deduplication before building -----------------------------------------------------
+
+CENSUS_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "quad33_le10.emg"
+
+
+def test_canonical_form_reads_tables_as_maps():
+    # the census corpus stores the canonical hash each graph was written with
+    text = CENSUS_CORPUS.read_text(encoding="ascii")
+    stored = [ln[len("# canon="):] for ln in text.splitlines() if ln.startswith("# canon=")]
+    census = parse_emg_stream(text)
+    assert len(stored) == len(census) == 2094
+    for g, h in zip(census, stored):
+        code = canonical_form(_Table(g.rotations, g.rings))
+        assert code == canonical_form(g)
+        assert hashlib.sha256(code).hexdigest()[:16] == h
+    for _, g in fixtures.cylinder_corpus():
+        assert canonical_form(_Table(g.rotations, g.rings)) == canonical_form(g)
+
+
+@pytest.mark.parametrize(
+    "generate, bound", [(generate_quad33, 8), (generate_hexagon_disks, 3), (generate_patches, 3)]
+)
+def test_generators_build_one_graph_per_class(monkeypatch, generate, bound):
+    built = []
+
+    class Counted(EmbeddedGraph):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(families, "EmbeddedGraph", Counted)
+    classes = generate(bound)
+    assert len(classes) > 1
+    assert len(built) == len(classes)
+    assert {id(g) for g in built} == {id(g) for g in classes}
+
+
+def test_isomorph_free_builds_a_table_not_reached_whole():
+    # the prism beside an octahedron: every root dart lies in the prism, so
+    # the transcript never reaches the octahedron and matches the prism's
+    prism = fixtures.prism()
+    octahedron = ((1, 2, 3, 4), (0, 4, 5, 2), (0, 1, 5, 3), (0, 2, 5, 4), (0, 3, 5, 1), (4, 3, 2, 1))
+    rotations = prism.rotations + tuple(tuple(v + 6 for v in r) for r in octahedron)
+    table = _Table(rotations, prism.rings)
+    assert canonical_form(table) == canonical_form(prism)
+    assert _isomorph_free([prism, _Table(prism.rotations, prism.rings)]) == [prism]
+    with pytest.raises(EulerViolation):
+        _isomorph_free([prism, table])
 
 
 # -- near 3,3-quadrangulations --------------------------------------------------------
