@@ -19,38 +19,29 @@ def _transcript(g: EmbeddedGraph, u0: int, v0: int, flip: bool, best):
     each vertex are compared, so a root costs linear time.
     """
     rotations = g.rotations
-    n = len(rotations)
-    labels = [-1] * n
-    order = [u0]
-    entry = [-1] * n
-    entry[u0] = v0
+    labels = [-1] * len(rotations)
     labels[u0] = 0
+    order = [u0]
+    entry = {u0: v0}
     code: list[int] = []
     tied = best is not None  # code equals the prefix of best so far
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        rot = rotations[v]
-        if flip:
-            rot = tuple(reversed(rot))
+    for v in order:
+        rot = rotations[v][::-1] if flip else rotations[v]
         s = rot.index(entry[v])
         start = len(code)
         code.append(len(rot))
-        for k in range(len(rot)):
-            w = rot[(s + k) % len(rot)]
+        for w in rot[s:] + rot[:s]:
             if labels[w] < 0:
                 labels[w] = len(order)
                 order.append(w)
                 entry[w] = v
             code.append(labels[w])
         if tied:
-            for k in range(start, len(code)):
-                if code[k] != best[k]:
-                    if code[k] > best[k]:
-                        return None, None
-                    tied = False
-                    break
+            block, ref = code[start:], best[start : len(code)]
+            if block != ref:
+                if block > ref:
+                    return None, None
+                tied = False
     return code, labels
 
 

@@ -1,24 +1,26 @@
 """Exact 3-coloring: extension, counting, extendable sets, domination.
 
-One iterative backtracking kernel serves both decision and counting.
-It keeps a bitmask of available colors per vertex and an undo trail of
-every domain change, and walks the search tree with an explicit branch
+One iterative backtracking kernel decides extension.  It keeps a
+bitmask of available colors per vertex and an undo trail of every
+domain change, and walks the search tree with an explicit branch
 stack, so depth is not bounded by the interpreter's recursion limit.
 Forced vertices are propagated to a fixpoint once at the root; below
 it, only the vertex just assigned is propagated.  Branching takes the
 vertex with the fewest available colors (smallest id on ties) and tries
 colors in increasing order, which makes the first reported solution
-deterministic.
+deterministic.  ``extend`` asks it for one coloring.
 
-``extend`` and ``count_colorings`` ask the kernel for one coloring or
-all of them.  Which ring precolorings extend is a relation, and one
-frontier sweep computes it (the transfer-matrix method for strips;
-dynamic programming over the path decomposition that a BFS order from
-ring 1 gives).  Its cost grows with the widest BFS layer, not with the
-number of ring precolorings, so long chains and tubes stay linear in
-their length.  The sweep returns its final state, and cheap readers
-take what each caller needs from it: ``extendable_set`` and domination
-read the member tuples through one index template, and
+One frontier sweep (the transfer-matrix method for strips; dynamic
+programming over the path decomposition that a BFS order gives) counts
+colorings and computes which ring precolorings extend.  It places the
+vertices one by one and maps each coloring of the live frontier to a
+value, combining the values that reach the same frontier coloring:
+``count_colorings`` adds counts, and the ring relation ORs bitmasks
+over the colorings of ring 1.  Its cost grows with the widest BFS
+layer, not with the number of colorings or of ring precolorings, so
+long chains, tubes and grids stay linear in their length.  The
+relation's final state is read by cheap readers: ``extendable_set``
+and domination read the member tuples through one index template, and
 ``blocked_precolorings`` yields the precolorings that do not extend,
 lazily and in lexicographic order, testing each by its bit and building
 an assignment only for a blocked one that is drawn.  Criticality
@@ -31,7 +33,7 @@ the set of deletions that a coloring already proved felt
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import add, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .embedding import EmbeddedGraph, bfs_layers, canon_cycle
@@ -109,14 +111,14 @@ def _propagate(adj, dom, size, trail, queue) -> bool:
     return True
 
 
-def _kernel(adj, fixed: Mapping[int, int], count_mode: bool):
+def _kernel(adj, fixed: Mapping[int, int]):
     """Backtracking over bitmask domains with an undo trail.
 
-    Returns the first solution's domain list (or None), or the number of
-    solutions in count mode.  The root is propagated to a fixpoint once;
-    below it, each assignment is propagated from the assigned vertex
-    only, which reaches the same fixpoint.  Branching takes the vertex
-    with the fewest colors (smallest id on ties), colors ascending.
+    Returns the first solution's domain list, or None.  The root is
+    propagated to a fixpoint once; below it, each assignment is
+    propagated from the assigned vertex only, which reaches the same
+    fixpoint.  Branching takes the vertex with the fewest colors
+    (smallest id on ties), colors ascending.
     """
     n = len(adj)
     dom = [_FULL] * n
@@ -126,19 +128,16 @@ def _kernel(adj, fixed: Mapping[int, int], count_mode: bool):
         size[v] = 1
     trail: list[tuple[int, int]] = []
     if not _propagate(adj, dom, size, trail, list(fixed)):
-        return 0 if count_mode else None
-    total = 0
+        return None
     stack: list[list[int]] = []  # [vertex, colors left to try, trail mark]
     while True:
-        # dom is a fixpoint here: branch, or record a solution
+        # dom is a fixpoint here: branch, or return the solution
         if 2 in size:
             v = size.index(2)
             stack.append([v, dom[v], len(trail)])
         elif 3 in size:
             v = size.index(3)
             stack.append([v, _FULL, len(trail)])
-        elif count_mode:
-            total += 1
         else:
             return dom
         # next child: undo to the top frame's mark and try its next color
@@ -160,18 +159,14 @@ def _kernel(adj, fixed: Mapping[int, int], count_mode: bool):
             if _propagate(adj, dom, size, trail, [v]):
                 break
         else:
-            return total if count_mode else None
+            return None
 
 
 def _solve_first(adj, fixed) -> dict[int, int] | None:
-    dom = _kernel(adj, fixed, False)
+    dom = _kernel(adj, fixed)
     if dom is None:
         return None
     return {v: _COLOR_OF[m] for v, m in enumerate(dom)}
-
-
-def _solve_count(adj, fixed) -> int:
-    return _kernel(adj, fixed, True)
 
 
 def extend(g: EmbeddedGraph, psi: Precoloring) -> dict[int, int] | None:
@@ -184,9 +179,16 @@ def extend(g: EmbeddedGraph, psi: Precoloring) -> dict[int, int] | None:
 
 
 def count_colorings(g: EmbeddedGraph, psi: Precoloring) -> int:
-    """Exact number of proper total 3-colorings extending psi."""
+    """Exact number of proper total 3-colorings extending psi.
+
+    One frontier sweep in BFS order from ring 1 (from vertex 0 without
+    rings), summing the counts that reach each frontier coloring.
+    """
     psi.validate_for(g)
-    return _solve_count(g.rotations, psi.assignments)
+    adj = g.rotations
+    order = _sweep_order(adj, sorted(g.rings[0]) if g.rings else [0])
+    _, state = _frontier(adj, order, (), {(): 1}, set(), psi.assignments, add)
+    return sum(state.values())
 
 
 def _picker(idx: Sequence[int]):
@@ -236,16 +238,47 @@ def ring_precolorings(g: EmbeddedGraph) -> Iterable[tuple[tuple[int, ...], dict[
 
 
 def _sweep_order(adj, start: Sequence[int]) -> list[int]:
-    """BFS layers from ``start``, each layer by id; an unreached vertex
-    restarts the search from the smallest such id."""
-    order: list[int] = []
-    while True:
-        for layer in bfs_layers(adj, start, avoid=order):
-            order += sorted(layer)
-        if len(order) == len(adj):
-            return order
-        placed = set(order)
-        start = [min(v for v in range(len(adj)) if v not in placed)]
+    """BFS layers from ``start`` (the graph is connected), each by id."""
+    return [v for layer in bfs_layers(adj, start) for v in sorted(layer)]
+
+
+def _frontier(adj, order, live, state, stay, fixed: Mapping[int, int], join):
+    """Place the vertices of ``order`` one by one; the final live
+    frontier and state.
+
+    ``state`` maps each coloring of ``live`` (a tuple over it) to a
+    value.  Placing a vertex extends each key by every color the vertex
+    may take (its fixed color, or any) that no live neighbour has, and
+    ``join`` combines the values that reach the same key.  A vertex
+    leaves the frontier once all its neighbours are placed, unless it is
+    in ``stay``.  The vertices outside ``order`` count as placed, so
+    those in ``live`` must hold every placed neighbour of ``order``.
+    """
+    left = [0] * len(adj)  # unplaced neighbours
+    for v in order:
+        for u in adj[v]:
+            left[u] += 1
+    live = list(live)
+    for v in order:
+        slot = {u: i for i, u in enumerate(live)}
+        near = _picker([slot[u] for u in adj[v] if u in slot])
+        for u in adj[v]:
+            left[u] -= 1
+        keep = [i for i, u in enumerate(live) if left[u] or u in stay]
+        kept = _picker(keep)
+        stays = left[v] > 0 or v in stay
+        live = [live[i] for i in keep] + [v] * stays
+        colors = (fixed[v],) if v in fixed else COLORS
+        grown: dict[tuple[int, ...], int] = {}
+        for key, value in state.items():
+            used = near(key)
+            base = kept(key)
+            for c in colors:
+                if c not in used:
+                    k = base + (c,) if stays else base
+                    grown[k] = join(grown.get(k, 0), value)
+        state = grown
+    return live, state
 
 
 @dataclass(frozen=True)
@@ -253,8 +286,9 @@ class _Swept:
     """The final state of one frontier sweep of a graph.
 
     ``state`` maps each coloring of ``live`` (the vertices of the rings
-    after the first) to the bitmask of the ring-1 colorings ``starts``
-    (tuples over the sorted vertices of ring 1) that reach it.
+    after the first, and possibly some of ring 1) to the bitmask of the
+    ring-1 colorings ``starts`` (tuples over the sorted vertices of ring
+    1) that reach it.
     """
 
     ring1: tuple[int, ...]
@@ -266,50 +300,20 @@ class _Swept:
 def _sweep(g: EmbeddedGraph) -> _Swept:
     """Sweep g from ring 1 and return the final state.
 
-    Ring 1 is placed first; the other vertices follow in BFS order.  The
-    state maps each coloring of the live frontier to a bitmask over the
-    colorings of ring 1 (proper on every edge among its vertices) that
-    reach it.  A vertex leaves the frontier once all its neighbours are
-    placed, except the vertices of the other ring, which stay to the end.
+    Ring 1 is placed first, all of it kept live, which gives its
+    colorings (proper on every edge among its vertices) in lexicographic
+    order; each is tagged with its own bit.  The other vertices follow
+    in BFS order, and ``|`` joins the bits that reach the same frontier
+    coloring.  The vertices of the other rings stay to the end.
     """
     adj = g.rotations
     ring1 = sorted(g.rings[0]) if g.rings else []
+    _, seeded = _frontier(adj, ring1, (), {(): 0}, set(ring1), {}, or_)
+    starts = list(seeded)
+    order = _sweep_order(adj, ring1 or [0])[len(ring1):]
     stay = set().union(*g.rings[1:])
-    pos = {v: i for i, v in enumerate(ring1)}
-    starts = _proper_tuples(
-        [[pos[u] for u in adj[v] if pos.get(u, j) < j] for j, v in enumerate(ring1)]
-    )
-    left = [len(row) for row in adj]  # unplaced neighbours
-    for v in ring1:
-        for u in adj[v]:
-            left[u] -= 1
-    live = [v for v in ring1 if left[v] or v in stay]
-    on_live = _picker([pos[v] for v in live])
-    state: dict[tuple[int, ...], int] = {}
-    for i, colors in enumerate(starts):
-        key = on_live(colors)
-        state[key] = state.get(key, 0) | 1 << i
-    for v in _sweep_order(adj, ring1)[len(ring1):]:
-        slot = {u: i for i, u in enumerate(live)}
-        nbrs = [slot[u] for u in adj[v] if u in slot]
-        for u in adj[v]:
-            left[u] -= 1
-        keep = [i for i, u in enumerate(live) if left[u] or u in stay]
-        stays = left[v] > 0 or v in stay
-        live = [live[i] for i in keep] + [v] * stays
-        near, kept = _picker(nbrs), _picker(keep)
-        grown: dict[tuple[int, ...], int] = {}
-        for key, mask in state.items():
-            used = near(key)
-            base = kept(key)
-            if stays:
-                for c in COLORS:
-                    if c not in used:
-                        k = base + (c,)
-                        grown[k] = grown.get(k, 0) | mask
-            elif len(set(used)) < 3:  # v has a color left
-                grown[base] = grown.get(base, 0) | mask
-        state = grown
+    state = {s: 1 << i for i, s in enumerate(starts)}
+    live, state = _frontier(adj, order, ring1, state, stay, {}, or_)
     return _Swept(tuple(ring1), starts, tuple(live), state)
 
 

@@ -6,6 +6,7 @@ import random
 import time
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -100,9 +101,9 @@ def test_kernel_matches_recursive_reference_on_corpus():
 
 
 def test_extend_agrees_with_count():
-    for _, g in fixtures.cylinder_corpus():
-        if g.n > 14:
-            continue
+    graphs = fixtures.cylinder_corpus() + fixtures.sphere_corpus()
+    graphs += [(f"tube{k}", fixtures.penta_tube(k)) for k in range(1, 10)]
+    for _, g in graphs:
         psi = Precoloring.empty()
         assert (extend(g, psi) is not None) == (count_colorings(g, psi) > 0)
 
@@ -142,6 +143,76 @@ def test_count_invariant_under_color_permutation(perm):
     mapped = {v: perm[c - 1] for v, c in base.items()}
     assert count_colorings(g, Precoloring(base)) == count_colorings(
         g, Precoloring(mapped)
+    )
+
+
+def k2n_sphere(n: int) -> EmbeddedGraph:
+    """K_{2,n} as a sphere map: hubs 0 and 1, leaves 2..n+1, n 4-faces."""
+    leaves = tuple(range(2, n + 2))
+    return EmbeddedGraph((leaves, leaves[::-1]) + ((0, 1),) * n)
+
+
+def _unusual_shapes() -> list[tuple[str, EmbeddedGraph]]:
+    out = [(f"K2,{n}", k2n_sphere(n)) for n in range(3, 9)]
+    out += [(f"tube{k}", fixtures.penta_tube(k)) for k in range(1, 4)]
+    out += fixtures.sphere_corpus()
+    out.append(("C4-disk", fixtures.c4_disk()))
+    out.append(("T'1", reduced_thomas_walls(1)[0]))
+    return out
+
+
+def test_count_at_wide_frontiers_and_unusual_shapes():
+    # K_{2,n} from a hub has a first BFS layer n wide; nothing is placed
+    # after ring 1 in the C4 disk; the two rings of T'_1 share every vertex
+    for name, g in _unusual_shapes():
+        psis = [{}] + [fixed for _, fixed in ring_precolorings(g)]
+        for fixed in psis:
+            got = count_colorings(g, Precoloring(fixed))
+            assert got == reference_count(g.rotations, fixed), (name, fixed)
+        if g.rings:
+            # 3^n brute force up to 16 vertices, the recursive search beyond
+            want = brute_ring_members(g) if g.n <= 16 else _ref_members(g.rotations, g)
+            assert extendable_set(g).members == want, name
+
+
+def _layer_transfer_matrix(c: int) -> np.ndarray:
+    """0/1 compatibility matrix of the proper 3-colorings of C_c: two
+    layer colorings are compatible when they differ at every position."""
+    layers = [
+        col for col in product((1, 2, 3), repeat=c)
+        if all(col[i] != col[i - 1] for i in range(c))
+    ]
+    return np.array(
+        [[int(all(x != y for x, y in zip(a, b))) for b in layers] for a in layers],
+        dtype=object,
+    )
+
+
+def test_count_matches_transfer_matrix_and_grows_exponentially():
+    """Desk-scale evidence for the closing corollary of the paper:
+    triangle-free planar graphs of bounded degree have exponentially
+    many 3-colorings."""
+    ratios = []
+    for c in range(3, 7):
+        T = _layer_transfer_matrix(c)
+        v = np.ones(len(T), dtype=object)
+        counts = []
+        for L in range(1, 13):
+            if L > 1:
+                v = T.dot(v)
+            counts.append(int(v.sum()))
+            assert count_colorings(cylinder_grid(c, L), Precoloring.empty()) == counts[-1], (c, L)
+        top = max(np.linalg.eigvals(T.astype(float)).real)
+        ratios.append(f"C{c} {counts[-1] / counts[-2]:.4f} (eigenvalue {top:.4f})")
+    tw = [count_colorings(reduced_thomas_walls(n)[0], Precoloring.empty()) for n in range(2, 13)]
+    assert tw == [54, 144, 360, 864, 2016, 4608, 10368, 23040, 50688, 110592, 239616]
+    tubes = [count_colorings(fixtures.penta_tube(k), Precoloring.empty()) for k in range(1, 10)]
+    assert tubes == [
+        66, 360, 2124, 12708, 76212, 457236, 2743380, 16460244, 98761428
+    ]
+    print(
+        f"\nCOUNT SWEEP: PASS (ratio per added grid layer at L=12: {', '.join(ratios)};"
+        f" T'_2..T'_12: {tw}; penta_tube(1..9): {tubes})"
     )
 
 
