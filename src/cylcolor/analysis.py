@@ -82,10 +82,13 @@ def is_critical(g: EmbeddedGraph, guard: int = 22) -> CriticalityReport:
     Checks every single non-ring vertex deletion and non-ring edge
     deletion: each must strictly grow the set of extendable ring
     precolorings.  Deletions are evaluated on the adjacency structure,
-    so intermediate subgraphs need not be valid embeddings.  Only the
+    so intermediate subgraphs need not be valid embeddings.  A non-ring
+    vertex of degree at most two, or an edge at one, is a witness without
+    a search: that vertex always has a free color.  Otherwise only the
     precolorings blocked in g are re-tested after a deletion, up to the
     first one that extends, and a deletion that an earlier coloring
-    already proved felt is skipped (``surgery._DeletionTest``).
+    already proved felt, by recoloring a vertex on all its monochromatic
+    edges, is skipped (``surgery._DeletionTest``).
     """
     if not g.rings:
         raise NoRings("criticality is defined relative to rings")

@@ -25,9 +25,12 @@ and domination read the member tuples through one index template, and
 lazily and in lexicographic order, testing each by its bit and building
 an assignment only for a blocked one that is drawn.  Criticality
 re-tests single deletions with the kernel against those blocked
-precolorings (a deletion can only grow the extendable set), and keeps
-the set of deletions that a coloring already proved felt
-(``surgery._DeletionTest``).
+precolorings (a deletion can only grow the extendable set), after two
+local rules (``surgery._DeletionTest``): deleting a non-ring vertex of
+degree at most two, or an edge at one, is never felt, since that vertex
+keeps a free color; and a coloring found for one deletion proves felt
+every deletion that meets all monochromatic edges left after
+recoloring a non-ring vertex on all of them, which is then not searched.
 """
 
 from __future__ import annotations

@@ -471,14 +471,23 @@ class _DeletionTest:
     subgraph of g with the same extendable set?
 
     A deletion can only add members, so it is felt exactly when some
-    precoloring blocked in g extends; those are drawn lazily from the
-    sweep, in lexicographic order, and kept for the next deletion.  A
-    coloring found for one deletion proves more deletions felt: every
-    non-ring vertex or edge whose deletion removes all monochromatic
-    edges of the coloring in the current graph.  Such a proof holds in
-    every later subgraph, since accepted deletions keep g's set and so a
-    blocked precoloring stays blocked; a proven deletion is not searched
-    again.
+    precoloring blocked in g extends.  Two local color arguments settle
+    most deletions before any search:
+
+    - Degree rule: deleting a non-ring vertex x with at most two
+      neighbours, or an edge at such an x, is never felt.  Any coloring
+      of the rest leaves x a free color, so it extends to the whole
+      graph; this is the ring version of Dirac's bound, minimum degree
+      at least k - 1 in a k-critical graph.
+    - Certificate rule: a coloring found for one deletion proves others
+      felt (see ``_certify``).  Such a proof holds in every later
+      subgraph, since accepted deletions keep g's set and so a blocked
+      precoloring stays blocked; a proven deletion is not searched
+      again.
+
+    Any other deletion is searched: the precolorings blocked in g are
+    drawn lazily from the sweep, in lexicographic order, kept for the
+    next deletion, and tried until one extends.
     """
 
     def __init__(self, g: EmbeddedGraph):
@@ -505,37 +514,42 @@ class _DeletionTest:
         x = vertex if edge is None else frozenset(edge)
         if x in self.felt:
             return False
+        ends = (vertex,) if edge is None else tuple(edge)
+        if any(w not in self.ring_vs and len(rows[w]) <= 2 for w in ends):
+            return True
         adj = _deletion_adjacency(rows, edge=edge, vertex=vertex)
         for fixed in self.blocked():
             col = _solve_first(adj, fixed)
             if col is not None:
-                self._certify(rows, col, vertex, edge)
+                self.felt.add(x)
+                self._certify(rows, col, ends)
                 return False
         return True
 
-    def _certify(self, rows, col: dict[int, int], vertex, edge) -> None:
+    def _certify(self, rows, col: dict[int, int], ends: Sequence[int]) -> None:
         """Record every deletion that the coloring ``col`` of the graph
-        minus one vertex or edge proves felt.
+        minus one vertex or edge with ends ``ends`` proves felt.
 
         ``col`` extends a blocked precoloring, so it is not proper on the
-        whole graph: for an edge uv its one monochromatic edge is uv; for
-        a vertex w at color c they are the edges from w to neighbours of
-        color c.  Deleting a non-ring element that meets all of them
-        leaves a proper coloring that extends the blocked precoloring.
+        whole graph, and each of its monochromatic edges meets ``ends``.
+        Recolor, in each of the three colors, each non-ring vertex w that
+        lies on all of them: the monochromatic edges left are those from
+        w to neighbours of w's new color.  Deleting their common non-ring
+        vertex (w, and the other end too when exactly one is left), or
+        that one edge, leaves a proper coloring that extends the blocked
+        precoloring.
         """
-        felt = self.felt
-        if edge is not None:
-            felt.add(frozenset(edge))
-            felt.update(u for u in edge if u not in self.ring_vs)
-            return
-        felt.add(vertex)
-        for c in COLORS:
-            hits = [u for u in rows[vertex] if col[u] == c]
-            if len(hits) == 1:
-                u = hits[0]
-                felt.add(frozenset((vertex, u)))
-                if u not in self.ring_vs:
-                    felt.add(u)
+        ring_vs, felt = self.ring_vs, self.felt
+        mono = [{w, u} for w in ends for u in rows[w] if col[u] == col[w]]
+        for w in set.intersection(*mono) - ring_vs:
+            felt.add(w)
+            for c in COLORS:
+                hits = [u for u in rows[w] if col[u] == c]
+                if len(hits) == 1:
+                    u = hits[0]
+                    felt.add(frozenset((w, u)))
+                    if u not in ring_vs:
+                        felt.add(u)
 
 
 def maximal_critical_subgraph(g: EmbeddedGraph, guard: int = 22) -> EmbeddedGraph:
@@ -548,9 +562,12 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
     Deletion order: edges first, smallest endpoint pair first, then
     vertices; the scan restarts after every accepted deletion, up to a
     fixpoint.  The fixpoint is critical whenever it exceeds the bare
-    rings.  Each deletion is tested against the precolorings blocked in
-    g, drawn lazily from the sweep; a deletion that an earlier coloring
-    already proved felt (see ``_DeletionTest``) is not searched again.
+    rings.  A non-ring vertex of degree at most two in the current
+    subgraph, or an edge at one, passes the deletion test without a
+    search (the graph must still stay connected).  Any other
+    deletion is tested against the precolorings blocked in g, drawn
+    lazily from the sweep; a deletion that an earlier coloring already
+    proved felt (see ``_DeletionTest``) is not searched again.
     """
     if g.n > guard:
         raise TooLarge(f"{g.n} vertices exceeds guard {guard}")

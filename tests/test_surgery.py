@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,9 @@ from cylcolor.embedding import (
     EmbeddedGraph,
     canon_cycle,
     distance,
+    emit_emg,
     enumerate_short_cycles,
+    parse_emg_stream,
     relabel,
     rotation_system_from_faces,
     trace_faces,
@@ -55,7 +59,12 @@ from cylcolor.surgery import (
 )
 
 import fixtures
-from oracles import max_chain_exhaustive, reference_is_critical, reference_maximal_critical
+from oracles import (
+    _ref_members,
+    max_chain_exhaustive,
+    reference_is_critical,
+    reference_maximal_critical,
+)
 
 
 def internal_quads(g: EmbeddedGraph):
@@ -319,6 +328,17 @@ def _relabeled(g: EmbeddedGraph, seed) -> EmbeddedGraph:
     return relabel(g, perm)
 
 
+def _without(rows, vertex=None, edge=None) -> list:
+    """Oracle adjacency of ``rows`` with one vertex or one edge removed."""
+    gone = {vertex} if edge is None else set()
+    cut = set() if edge is None else {tuple(edge), tuple(edge)[::-1]}
+    adj = [()] * (max(rows) + 1)
+    for v, row in rows.items():
+        if v not in gone:
+            adj[v] = tuple(u for u in row if u not in gone and (v, u) not in cut)
+    return adj
+
+
 def test_certified_deletions_match_set_equality_oracles():
     # the oracles recompute the whole extendable set after each deletion
     noncritical = shrunk = 0
@@ -338,21 +358,58 @@ def test_certified_deletions_match_set_equality_oracles():
     assert noncritical > 50 and shrunk > 50
 
 
+def test_certified_felt_deletions_are_felt():
+    # each deletion a coloring proves felt is checked, in the graph where
+    # it was proved, against the oracle's set of the graph
+    unchanged = surgery._DeletionTest.unchanged
+    proved = []  # (rows, deletion)
+    checked = 0
+
+    def recording(self, rows, vertex=None, edge=None):
+        before = set(self.felt)
+        out = unchanged(self, rows, vertex=vertex, edge=edge)
+        frozen = {v: tuple(row) for v, row in rows.items()}
+        proved.extend((frozen, x) for x in self.felt - before)
+        return out
+
+    for i, g in enumerate(_certificate_corpus()):
+        h = _relabeled(g, f"certificates/{i}")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surgery._DeletionTest, "unchanged", recording)
+            is_critical(h, guard=30)
+            try:
+                _maximal_critical_mapped(h, guard=30)
+            except NothingToExtract:
+                pass
+        base = _ref_members(h.rotations, h)
+        for rows, x in proved:
+            d = {"edge": tuple(x)} if isinstance(x, frozenset) else {"vertex": x}
+            assert _ref_members(_without(rows, **d), h) != base, (i, x)
+        checked += len(proved)
+        proved.clear()
+    assert checked > 1000
+
+
 def _proven_felt(rows, x, col, ring_vs) -> set:
     """Deletions that a coloring ``col`` of the graph ``rows`` minus ``x``
-    proves felt: those that remove every monochromatic edge, for each
-    color of a deleted vertex."""
+    proves felt: for each non-ring vertex on every monochromatic edge,
+    recolored in each color, those that remove every monochromatic edge
+    left."""
     edges = {frozenset((v, u)) for v, row in rows.items() for u in row}
+
+    def mono(colors):
+        return [e for e in edges if len({colors[v] for v in e}) == 1]
+
     out = set()
-    for c in (1, 2, 3) if not isinstance(x, frozenset) else (None,):
-        colors = dict(col)
-        if c is not None:
-            colors[x] = c
-        mono = [e for e in edges if len({colors[v] for v in e}) == 1]
-        assert mono, "a blocked precoloring extends to the whole graph"
-        out.update(v for v in set.intersection(*map(set, mono)) if v not in ring_vs)
-        if len(mono) == 1:
-            out.add(mono[0])
+    first = mono(col)
+    assert first, "a blocked precoloring extends to the whole graph"
+    for w in set.intersection(*map(set, first)) - ring_vs:
+        for c in (1, 2, 3):
+            left = mono({**col, w: c})
+            assert left, "a blocked precoloring extends to the whole graph"
+            out.update(v for v in set.intersection(*map(set, left)) if v not in ring_vs)
+            if len(left) == 1:
+                out.add(left[0])
     return out
 
 
@@ -391,6 +448,42 @@ def test_no_deletion_is_searched_twice(seed, extract):
         proven.add(s["x"])
         if s["col"] is not None:
             proven |= _proven_felt(s["rows"], s["x"], s["col"], g.ring_vertices)
+
+
+def _low_degree_corpus() -> list[EmbeddedGraph]:
+    emg = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "quad33_le10.emg"
+    return list(_certificate_corpus()) + parse_emg_stream(emg.read_text(encoding="ascii"))[::20]
+
+
+def test_low_degree_deletions_are_decided_without_search():
+    # a non-ring vertex with at most two neighbours always keeps a free
+    # color, so deleting it, or an edge at it, never changes the set; any
+    # other deletion still needs its search and must agree with the oracle
+    def no_search(*args, **kwargs):
+        raise AssertionError("a low-degree deletion was searched")
+
+    low = 0
+    for i, g in enumerate(_low_degree_corpus()):
+        rows = dict(enumerate(g.rotations))
+        ring_vs = g.ring_vertices
+        base = _ref_members(g.rotations, g)
+        test = surgery._DeletionTest(g)
+        ring_edges = g.ring_edge_set()
+        deletions = [{"vertex": v} for v in rows if v not in ring_vs]
+        deletions += [{"edge": e} for e in g.edges() if frozenset(e) not in ring_edges]
+        for d in deletions:
+            ends = (d["vertex"],) if "vertex" in d else d["edge"]
+            unchanged = _ref_members(_without(rows, **d), g) == base
+            if not any(w not in ring_vs and len(rows[w]) <= 2 for w in ends):
+                assert test.unchanged(rows, **d) == unchanged, (i, d)
+                continue
+            low += 1
+            assert unchanged, (i, d)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(surgery, "_deletion_adjacency", no_search)
+                mp.setattr(surgery, "_solve_first", no_search)
+                assert test.unchanged(rows, **d), (i, d)
+    assert low > 100
 
 
 def test_maximal_critical_nothing_to_extract():
@@ -534,3 +627,20 @@ def test_cut_step_full_pipeline():
     ]
     assert extra
     assert distance(out, out.rings[0], out.rings[1]) >= 5
+
+
+# sha256 of the cutting step's EMG output, computed when every deletion
+# test still ran a kernel search: the local rules of the deletion test
+# must not change which deletions the extraction accepts
+_TUBE_CUT_DIGESTS = {
+    6: "cb45add02fce9fa81c54706f9e0727598a1ff83cd31ec894a1ce2bff87655c0b",
+    7: "abd61b80e1d9cad8bfcd164484e181decd8a0302b9e4e33432ffc67b85a1ad67",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", sorted(_TUBE_CUT_DIGESTS))
+def test_cut_step_tube_output_is_pinned(k):
+    out = cut_step(fixtures.penta_tube(k), 3, guard=50)
+    digest = hashlib.sha256(emit_emg(out).encode("ascii")).hexdigest()
+    assert digest == _TUBE_CUT_DIGESTS[k]
