@@ -35,6 +35,7 @@ from .families import (
     FramedRecipe,
     build_framed_patched,
     enumerate_framed_patched,
+    near_quad33,
     near_quad33_decomposition,
 )
 from .surgery import _DeletionTest, chain_decompose
@@ -272,8 +273,6 @@ def reproduce_witness(w: FamilyWitness) -> Optional[EmbeddedGraph]:
     """Rebuild a graph from a positive witness's decomposition."""
     if w.verdict == "near_quad33":
         base, subs = w.decomposition
-        from .families import near_quad33
-
         return near_quad33(base, subs)
     if w.verdict == "framed_patched_tw":
         return build_framed_patched(w.decomposition)

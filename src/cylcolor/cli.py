@@ -8,6 +8,8 @@ vertex guard exceeded (``--guard`` on the verbs that search).
 from __future__ import annotations
 
 import argparse
+import hashlib
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -104,36 +106,25 @@ def _guarded(g: EmbeddedGraph, guard: int) -> None:
         raise TooLarge(f"{g.n} vertices exceeds guard {guard} (use --guard)")
 
 
-_FAMILY_KINDS = {
-    "thomas-walls": "thomas_walls",
-    "reduced": "reduced",
-    "patches": "patches",
-    "hexagon-disks": "hexagon_disks",
-    "quad33": "quad33",
-    "near-quad33": "near_quad33",
-    "framed-tw": "framed_patched",
-    "grid": "grid",
+# Each --family name of `gen` and `census` with the generator it calls on
+# the parsed flags.  The generators check their own bounds.  A framed-tw
+# patch bound is read as max_internal, whether `--max-internal` or census's
+# `--patch-bound` set it.
+_FAMILIES = {
+    "thomas-walls": lambda a: [families.thomas_walls(a.n)],
+    "reduced": lambda a: [families.reduced_thomas_walls(a.n)[0]],
+    "patches": lambda a: families.generate_patches(a.max_internal),
+    "hexagon-disks": lambda a: families.generate_hexagon_disks(a.max_internal),
+    "quad33": lambda a: families.generate_quad33(a.max_vertices),
+    "near-quad33": lambda a: families.generate_near_quad33(a.max_vertices),
+    "framed-tw": lambda a: families.generate_framed_patched(a.max_vertices, a.max_internal),
+    "grid": lambda a: [families.cylinder_grid(a.width, a.layers)],
 }
 
 
-def _family_spec(args) -> families.FamilySpec:
-    return families.FamilySpec(
-        kind=_FAMILY_KINDS[args.family],
-        n=args.n,
-        max_internal=args.max_internal,
-        max_vertices=args.max_vertices,
-        patch_bound=args.max_internal,
-        width=args.width,
-        layers=args.layers,
-    )
-
-
 def _cmd_gen(args) -> int:
-    graphs = _family_spec(args).realize()
+    graphs = _FAMILIES[args.family](args)
     if args.out_dir:
-        import hashlib
-        import os
-
         try:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:
@@ -269,17 +260,12 @@ def _cmd_census(args) -> int:
     if args.family == "stdin":
         graphs = parse_emg_stream(_read_input(args.input))
     else:
-        spec = families.FamilySpec(
-            kind=_FAMILY_KINDS[args.family],
-            max_vertices=args.max_vertices,
-            patch_bound=args.patch_bound,
-        )
-        graphs = spec.realize()
+        graphs = _FAMILIES[args.family](args)
     report = analysis.census(
         graphs,
         guard=args.guard,
         catalog_bound=args.catalog_bound,
-        patch_bound=args.patch_bound,
+        patch_bound=args.max_internal,
         jobs=args.jobs,
     )
     _write("\n".join(report.lines()) + "\n", args.out)
@@ -302,10 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--guard", type=int, default=22, help="vertex guard: larger graphs exit 3")
 
     sp = sub.add_parser("gen", help="generate a graph family as an EMG stream")
-    sp.add_argument("--family", required=True, choices=[
-        "thomas-walls", "reduced", "patches", "hexagon-disks", "quad33",
-        "near-quad33", "framed-tw", "grid",
-    ])
+    sp.add_argument("--family", required=True, choices=list(_FAMILIES))
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--max-internal", type=int, default=2)
     sp.add_argument("--max-vertices", type=int, default=8)
@@ -390,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-vertices", type=int, default=8)
     sp.add_argument("--guard", type=int, default=22)
     sp.add_argument("--catalog-bound", type=int, default=20)
-    sp.add_argument("--patch-bound", type=int, default=4)
+    sp.add_argument("--patch-bound", dest="max_internal", metavar="PATCH_BOUND", type=int, default=4)
     sp.add_argument("--jobs", type=_jobs_arg, default=1)
     sp.set_defaults(func=_cmd_census)
 

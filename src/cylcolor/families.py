@@ -5,8 +5,12 @@ reduced cylinder form, quadrangulated-disk patches, patching and framing
 surgeries, 3,3-quadrangulations of the cylinder and their near variants,
 pendant-ring attachment, and cylindrical grids used as fixtures.
 
-Generators are exhaustive and isomorph-free: labeled enumeration with a
-fixed derivation order, deduplicated by canonical form.  The disk
+The generators are the family API: ``generate_patches``,
+``generate_hexagon_disks``, ``generate_quad33``, ``generate_near_quad33``
+and ``generate_framed_patched``.  Each checks its own bounds and raises
+``InvalidParameter`` on a bad one.  They are exhaustive and isomorph-free:
+labeled enumeration with a fixed derivation order, deduplicated by
+canonical form, returned in canonical-form order.  The disk
 generators yield raw rotation tables, which are canonicalized first:
 only the first table of each class is built and validated as a map, and
 a duplicate costs one canonical form.  Every disk generator shares one
@@ -30,6 +34,8 @@ from .embedding import (
     Cycle,
     EmbeddedGraph,
     compress_rotations,
+    emit_emg,
+    parse_emg,
     reflected,
     rotation_system_from_faces,
 )
@@ -52,68 +58,6 @@ class InterfacePairs:
 
     first: tuple[int, int]
     second: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A generator request: which family, with which bounds.
-
-    Kinds and their parameters:
-      thomas_walls, reduced      -> n >= 1
-      patches, hexagon_disks     -> max_internal >= 0
-      quad33, near_quad33        -> max_vertices >= 6
-      framed_patched             -> max_vertices >= 4, patch_bound >= 0
-      grid                       -> width >= 3, layers >= 1
-    """
-
-    kind: str
-    n: int = 1
-    max_internal: int = 2
-    max_vertices: int = 8
-    patch_bound: int = 2
-    width: int = 4
-    layers: int = 3
-
-    def validate(self) -> None:
-        checks = {
-            "thomas_walls": self.n >= 1,
-            "reduced": self.n >= 1,
-            "patches": self.max_internal >= 0,
-            "hexagon_disks": self.max_internal >= 0,
-            "quad33": self.max_vertices >= 6,
-            "near_quad33": self.max_vertices >= 6,
-            "framed_patched": self.max_vertices >= 4 and self.patch_bound >= 0,
-            "grid": self.width >= 3 and self.layers >= 1,
-        }
-        if self.kind not in checks:
-            raise InvalidParameter(f"unknown family kind {self.kind!r}")
-        if not checks[self.kind]:
-            raise InvalidParameter(f"bad parameters for {self.kind}")
-
-    def realize(self) -> list[EmbeddedGraph]:
-        """Generate the family, isomorph-free and in canonical order."""
-        self.validate()
-        if self.kind == "thomas_walls":
-            return [thomas_walls(self.n)]
-        if self.kind == "reduced":
-            return [reduced_thomas_walls(self.n)[0]]
-        if self.kind == "patches":
-            return generate_patches(self.max_internal)
-        if self.kind == "hexagon_disks":
-            return generate_hexagon_disks(self.max_internal)
-        if self.kind == "quad33":
-            return generate_quad33(self.max_vertices)
-        if self.kind == "grid":
-            return [cylinder_grid(self.width, self.layers)]
-        if self.kind == "near_quad33":
-            return _isomorph_free(
-                near_quad33(base, subs)
-                for base in generate_quad33(self.max_vertices)
-                for subs in subdivision_choices(base)
-            )
-        return _isomorph_free(
-            g for g, _ in enumerate_framed_patched(self.max_vertices, self.patch_bound)
-        )
 
 
 class _Table(NamedTuple):
@@ -142,18 +86,6 @@ def _isomorph_free(maps: Iterable[EmbeddedGraph | _Table]) -> list[EmbeddedGraph
         if kept is None or kept.n != len(m.rotations):
             seen[key] = m if isinstance(m, EmbeddedGraph) else EmbeddedGraph(*m)
     return [seen[k] for k in sorted(seen)]
-
-
-def subdivision_choices(base: EmbeddedGraph):
-    """All (edge or None) picks per ring for near-quadrangulation variants."""
-    per_ring = []
-    for ring in base.rings:
-        per_ring.append(
-            [None] + [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
-        )
-    for e1 in per_ring[0]:
-        for e2 in per_ring[1]:
-            yield (e1, e2)
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +640,31 @@ def near_quad33(
     return EmbeddedGraph(tuple(tuple(r) for r in rot), tuple(tuple(r) for r in rings))
 
 
+def subdivision_choices(base: EmbeddedGraph):
+    """All (edge or None) picks per ring for near-quadrangulation variants."""
+    per_ring = []
+    for ring in base.rings:
+        per_ring.append(
+            [None] + [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+        )
+    for e1 in per_ring[0]:
+        for e2 in per_ring[1]:
+            yield (e1, e2)
+
+
+def generate_near_quad33(max_vertices: int) -> list[EmbeddedGraph]:
+    """Every near 3,3-quadrangulation whose base has at most max_vertices.
+
+    Each quad33 base with each choice of at most one subdivided edge per
+    ring, isomorph-free.
+    """
+    return _isomorph_free(
+        near_quad33(base, subs)
+        for base in generate_quad33(max_vertices)
+        for subs in subdivision_choices(base)
+    )
+
+
 def near_quad33_decomposition(
     g: EmbeddedGraph,
 ) -> Optional[tuple[EmbeddedGraph, tuple[Optional[tuple[int, int]], ...]]]:
@@ -846,8 +803,6 @@ class FramedRecipe:
 
 
 def build_framed_patched(recipe: FramedRecipe) -> EmbeddedGraph:
-    from .embedding import parse_emg
-
     base, pairs = reduced_thomas_walls(recipe.n)
     placements = [(v, parse_emg(text)) for v, text in recipe.placements]
     if placements:
@@ -880,8 +835,6 @@ def enumerate_framed_patched(
     four framing choices per end; the vertex budget prunes assignments.
     Not deduplicated; callers deduplicate by canonical form.
     """
-    from .embedding import emit_emg
-
     n = 1
     while 3 * n + 1 <= max_vertices:
         base, pairs = reduced_thomas_walls(n)
@@ -932,3 +885,12 @@ def enumerate_framed_patched(
                         framed = frame(patched, mapped, (ch1, ch2))
                         yield framed, FramedRecipe(n, texts, (ch1, ch2))
         n += 1
+
+
+def generate_framed_patched(max_vertices: int, patch_bound: int) -> list[EmbeddedGraph]:
+    """Every framed patched chain graph within the bounds, isomorph-free."""
+    if max_vertices < 4:
+        raise InvalidParameter("max_vertices must be >= 4")
+    if patch_bound < 0:
+        raise InvalidParameter("patch_bound must be >= 0")
+    return _isomorph_free(g for g, _ in enumerate_framed_patched(max_vertices, patch_bound))

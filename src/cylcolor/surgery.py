@@ -210,7 +210,7 @@ class DistanceClasses:
 
 def distance_classes(g: EmbeddedGraph, ring_index: int = 0) -> DistanceClasses:
     """Exact BFS layering from the chosen ring."""
-    if ring_index >= len(g.rings):
+    if not 0 <= ring_index < len(g.rings):
         raise InvalidParameter(f"no ring {ring_index}")
     layers = bfs_layers(g.rotations, g.rings[ring_index])
     return DistanceClasses(tuple(map(frozenset, layers)))
@@ -230,7 +230,7 @@ def shortest_layer_cycle(g: EmbeddedGraph, a: int, ring_index: int = 0) -> Cycle
     Ties are broken lexicographically; the result is induced.
     """
     layers = distance_classes(g, ring_index)
-    if a >= len(layers):
+    if not 0 <= a < len(layers):
         raise NoSuchCycle(f"no vertices at distance {a}")
     layer = layers[a]
     if len(g.rings) != 2 or not _separates(g, layer, g.rings[0], g.rings[1]):
@@ -293,6 +293,8 @@ def _ladder_contract_mapped(g, q2, q3) -> tuple[EmbeddedGraph, dict[int, int]]:
         raise NotALadder("layer cycles must have equal length >= 4")
     if set(xs) & set(ys_raw):
         raise NotALadder("layer cycles share vertices")
+    if not all(0 <= v < g.n for v in xs + ys_raw):
+        raise NotALadder(f"layer vertex outside 0..{g.n - 1}")
     ys = _align_layers(g, xs, ys_raw)
     fl = g.faces
     quads = {
@@ -961,6 +963,7 @@ def _collapse_best_pair(g: EmbeddedGraph, z: Optional[int]):
 
 
 def _audit_cut(g, out, total, d_before):
+    # looked up at each call, so a wrapper on either module attribute sees it
     from .coloring import dominates_under
     from .families import near_quad33_decomposition
 

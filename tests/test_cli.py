@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylcolor.cli import _FAMILY_KINDS, main
+from cylcolor.cli import _FAMILIES, main
 from cylcolor.embedding import emit_emg, parse_emg, parse_emg_stream
 from cylcolor.families import near_quad33
 
@@ -173,6 +173,20 @@ def test_contract_ladder(capsys, monkeypatch):
     )
     assert code == 0
     assert parse_emg(out).n == g.n - 2
+
+
+@pytest.mark.parametrize("q2, q3", [("0,1,2,99", "4,5,6,7"), ("-12,5,6,7", "8,9,10,11")])
+def test_contract_ladder_rejects_vertices_outside_the_graph(capsys, monkeypatch, q2, q3):
+    from cylcolor.families import cylinder_grid
+
+    code, out, err = run(
+        capsys,
+        ["contract-ladder", f"--q2={q2}", f"--q3={q3}"],
+        stdin=emit_emg(cylinder_grid(4, 4)),
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (2, "")
+    assert "outside" in err and "Traceback" not in err
 
 
 def test_attach_ring(capsys, monkeypatch):
@@ -486,7 +500,7 @@ _FUZZ_ARGV = st.one_of(
     _argv("attach-ring", _opt("--vertex", _NUM)),
     _argv("color", _opt("--precolor", _PRECOLOR)),
     _argv("count", _opt("--precolor", _PRECOLOR)),
-    st.sampled_from(list(_FAMILY_KINDS)).flatmap(_gen_argv),
+    st.sampled_from(list(_FAMILIES)).flatmap(_gen_argv),
     _argv(
         "census", st.sampled_from([["--family", f] for f in ("quad33", "framed-tw", "stdin")]),
         # always bounded: the default catalog bound of 20 builds for 20 s

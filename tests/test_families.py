@@ -32,7 +32,6 @@ from cylcolor.errors import (
 )
 from cylcolor.families import (
     FRAME_CHOICES,
-    FamilySpec,
     _Table,
     _fill_disk,
     _isomorph_free,
@@ -40,7 +39,9 @@ from cylcolor.families import (
     attach_pendant_ring,
     cylinder_grid,
     frame,
+    generate_framed_patched,
     generate_hexagon_disks,
+    generate_near_quad33,
     generate_patches,
     generate_quad33,
     is_quad33,
@@ -403,16 +404,22 @@ _STREAM_DIGESTS = {
     ("patches", 3): "2903f17fb617bb644e8a6fc1d2a7efd2c53973f4c0e5954c8c32e3db2440c999",
     ("patches", 4): "ad39a88bbbcbc99182ff2d55e1076bc83b7a5bfc19443d4fec5847cabcf50e3b",
     ("near_quad33", 8): "e1560d2cf2c079cfc3fbb87a32e4fedf31c2a385651a73024a2620d98f099538",
+    # vertex bounds, with patches of at most 2 internal vertices (54 and 235 classes)
+    ("framed_patched", 14): "d7d73e704d2b9cf0add6a5b06fb08ebbd2ecec0fcc007a4653c9ef0b27dc5816",
+    ("framed_patched", 16): "b78279bb05b889993d4cfc992714f5cf437733b4b112c3f2dcc526c2fdac684c",
+}
+_GENERATORS = {
+    "quad33": generate_quad33,
+    "near_quad33": generate_near_quad33,
+    "hexagon_disks": generate_hexagon_disks,
+    "patches": generate_patches,
+    "framed_patched": lambda bound: generate_framed_patched(bound, 2),
 }
 
 
 @pytest.mark.parametrize("kind, bound", list(_STREAM_DIGESTS))
 def test_generator_stream_digests(kind, bound):
-    if kind in ("quad33", "near_quad33"):
-        spec = FamilySpec(kind, max_vertices=bound)
-    else:
-        spec = FamilySpec(kind, max_internal=bound)
-    stream = "".join(emit_emg(g) for g in spec.realize())
+    stream = "".join(emit_emg(g) for g in _GENERATORS[kind](bound))
     assert hashlib.sha256(stream.encode()).hexdigest() == _STREAM_DIGESTS[kind, bound]
 
 
@@ -537,17 +544,15 @@ def test_grid_faces():
     assert len(fl.ring_faces) == 2
 
 
-def test_family_spec_realize_and_validate():
-    from cylcolor.families import FamilySpec
-
-    assert len(FamilySpec("patches", max_internal=2).realize()) == 4
-    assert FamilySpec("thomas_walls", n=2).realize()[0].n == 7
+def test_near_quad33_and_framed_generators_check_bounds():
     # 2 bases at 6 vertices; their subdivision variants collapse to 10 classes
-    assert len(FamilySpec("near_quad33", max_vertices=6).realize()) == 10
+    assert len(generate_near_quad33(6)) == 10
     with pytest.raises(InvalidParameter):
-        FamilySpec("bogus").validate()
+        generate_near_quad33(5)
     with pytest.raises(InvalidParameter):
-        FamilySpec("quad33", max_vertices=3).validate()
+        generate_framed_patched(3, 1)
+    with pytest.raises(InvalidParameter):
+        generate_framed_patched(12, -1)
 
 
 def test_penta_tube_is_quad33():

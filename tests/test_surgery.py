@@ -34,6 +34,7 @@ from cylcolor.embedding import (
 )
 from cylcolor.errors import (
     DiagonalAdjacent,
+    InvalidParameter,
     NoSuchCycle,
     NotAFace,
     NotALadder,
@@ -43,7 +44,7 @@ from cylcolor.errors import (
     PreconditionFailed,
     RingVertex,
 )
-from cylcolor.families import FamilySpec, cylinder_grid, frame, reduced_thomas_walls
+from cylcolor.families import cylinder_grid, frame, generate_near_quad33, reduced_thomas_walls
 from cylcolor.surgery import (
     audit_chain,
     chain_decompose,
@@ -156,6 +157,9 @@ def test_distance_classes_grid():
     assert len(dc) == 5
     for a in range(5):
         assert dc[a] == frozenset(range(4 * a, 4 * a + 4))
+    for ring_index in (-1, -3, 2):
+        with pytest.raises(InvalidParameter):
+            distance_classes(cylinder_grid(4, 5), ring_index)
 
 
 def test_shortest_layer_cycle_grid():
@@ -182,6 +186,9 @@ def test_shortest_layer_cycle_missing():
     g = fixtures.hub_hexagon()
     with pytest.raises(NoSuchCycle):
         shortest_layer_cycle(g, 1)
+    for a in (-1, -6, -7):  # a negative layer must not index from the last one
+        with pytest.raises(NoSuchCycle):
+            shortest_layer_cycle(cylinder_grid(5, 6), a)
 
 
 # -- ladder contraction ---------------------------------------------------------------
@@ -237,6 +244,9 @@ def test_ladder_contract_rejects_nonladder():
         ladder_contract(g, (0, 1, 2, 3), (8, 9, 10, 11))  # layers not adjacent
     with pytest.raises(NotALadder):
         ladder_contract(fixtures.prism(), (0, 1, 2), (3, 4, 5))  # triangles
+    for q2, q3 in [((0, 1, 2, 99), (4, 5, 6, 7)), ((-12, 5, 6, 7), (8, 9, 10, 11))]:
+        with pytest.raises(NotALadder, match="outside"):
+            ladder_contract(g, q2, q3)  # vertices not in the graph
 
 
 # -- collapse of a triangle pair --------------------------------------------------------
@@ -317,7 +327,7 @@ def _certificate_corpus() -> tuple[EmbeddedGraph, ...]:
     """Cylinder graphs with many non-critical members, where an unsound
     certificate would accept a felt deletion or skip an unfelt one."""
     graphs = [g for _, g in fixtures.cylinder_corpus()]
-    graphs += FamilySpec(kind="near_quad33", max_vertices=8).realize()[::6]
+    graphs += generate_near_quad33(8)[::6]
     graphs += [fixtures.penta_tube(k) for k in (2, 3)]
     return tuple(graphs)
 
@@ -567,8 +577,6 @@ def test_chain_rejects_untame():
 
 
 def test_chain_rejects_intersecting_rings():
-    from cylcolor.errors import InvalidParameter
-
     g, _ = reduced_thomas_walls(2)  # its rings share one vertex
     with pytest.raises(InvalidParameter):
         chain_decompose(g)
