@@ -220,7 +220,8 @@ class FamilyWitness:
 # Census and CLI spelling of each recognition verdict.
 VERDICT_NAMES = {"near_quad33": "NQ", "framed_patched_tw": "FPTW", "neither": "NEITHER"}
 
-_CATALOG_CACHE: dict[tuple[int, int], dict[bytes, FramedRecipe]] = {}
+# One catalog per patch bound, with the vertex bound it was built for.
+_CATALOG_CACHE: dict[int, tuple[int, dict[bytes, FramedRecipe]]] = {}
 
 
 def framed_patched_catalog(
@@ -230,14 +231,19 @@ def framed_patched_catalog(
 
     Complete for every member whose patches all have at most patch_bound
     internal vertices and whose vertex count is at most catalog_bound.
+    One catalog is kept per patch bound.  A catalog complete up to a
+    larger vertex bound answers every smaller query, so it is returned
+    as it is; otherwise the catalog is rebuilt at catalog_bound, and so
+    grows to the largest bound asked for.
     """
-    key = (catalog_bound, patch_bound)
-    if key not in _CATALOG_CACHE:
-        catalog: dict[bytes, FramedRecipe] = {}
-        for graph, recipe in enumerate_framed_patched(catalog_bound, patch_bound):
-            catalog.setdefault(canonical_form(graph), recipe)
-        _CATALOG_CACHE[key] = catalog
-    return _CATALOG_CACHE[key]
+    cached = _CATALOG_CACHE.get(patch_bound)
+    if cached is not None and cached[0] >= catalog_bound:
+        return cached[1]
+    catalog: dict[bytes, FramedRecipe] = {}
+    for graph, recipe in enumerate_framed_patched(catalog_bound, patch_bound):
+        catalog.setdefault(canonical_form(graph), recipe)
+    _CATALOG_CACHE[patch_bound] = (catalog_bound, catalog)
+    return catalog
 
 
 def recognize(
@@ -247,22 +253,25 @@ def recognize(
 
     Near 3,3-quadrangulations are recognized structurally.  Framed
     patched chain graphs are matched by canonical form against the
-    enumerated catalog.  "neither" is only returned when the catalog
-    provably covers every member of the input's size; otherwise
-    CatalogTooSmall is raised.
+    enumerated catalog, which is built only up to the input's own vertex
+    count: an isomorphic member has as many vertices.  A graph larger
+    than catalog_bound is not looked up at all.  "neither" is only
+    returned when the catalog provably covers every member of the
+    input's size; otherwise CatalogTooSmall is raised.
     """
     dec = near_quad33_decomposition(g)
     if dec is not None:
         return FamilyWitness("near_quad33", dec)
-    catalog = framed_patched_catalog(catalog_bound, patch_bound)
-    recipe = catalog.get(canonical_form(g))
-    if recipe is not None:
-        return FamilyWitness("framed_patched_tw", recipe)
-    # Any member on <= n vertices uses patches with at most n - 12 internal
-    # vertices (smallest patchable chain has 10 vertices, a hexagon costs 2),
-    # so the catalog is conclusive only within these bounds.
-    if g.n <= catalog_bound and max(0, g.n - 12) <= patch_bound:
-        return FamilyWitness("neither", None)
+    if g.n <= catalog_bound:
+        recipe = framed_patched_catalog(g.n, patch_bound).get(canonical_form(g))
+        if recipe is not None:
+            return FamilyWitness("framed_patched_tw", recipe)
+        # Any member on <= n vertices uses patches with at most n - 12
+        # internal vertices (smallest patchable chain has 10 vertices, a
+        # hexagon costs 2), so the catalog is conclusive only within these
+        # bounds.
+        if max(0, g.n - 12) <= patch_bound:
+            return FamilyWitness("neither", None)
     raise CatalogTooSmall(
         f"no verdict: {g.n} vertices vs catalog bound {catalog_bound} "
         f"with patches up to {patch_bound}"

@@ -83,15 +83,23 @@ def _vertices_arg(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _jobs_arg(text: str) -> int:
-    """A --jobs value: a worker count of at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed worker count {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"worker count {jobs} is below 1")
-    return jobs
+def _count_arg(what: str, least: int):
+    """The argparse type of a count flag: an integer of at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"malformed {what} {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{what} {value} is below {least}")
+        return value
+
+    return parse
+
+
+_jobs_arg = _count_arg("worker count", 1)
+_bound_arg = _count_arg("bound", 0)
 
 
 def _parse_precolor(items: list[dict[int, int]]) -> dict[int, int]:
@@ -331,8 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="recognize the construction family")
     common(sp)
-    sp.add_argument("--catalog-bound", type=int, default=20)
-    sp.add_argument("--patch-bound", type=int, default=4)
+    sp.add_argument("--catalog-bound", type=_bound_arg, default=20)
+    sp.add_argument("--patch-bound", type=_bound_arg, default=4)
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("faces", help="list faces and face-length statistics")
@@ -372,8 +380,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.add_argument("--max-vertices", type=int, default=8)
     sp.add_argument("--guard", type=int, default=22)
-    sp.add_argument("--catalog-bound", type=int, default=20)
-    sp.add_argument("--patch-bound", dest="max_internal", metavar="PATCH_BOUND", type=int, default=4)
+    sp.add_argument("--catalog-bound", type=_bound_arg, default=20)
+    sp.add_argument(
+        "--patch-bound", dest="max_internal", metavar="PATCH_BOUND", type=_bound_arg, default=4
+    )
     sp.add_argument("--jobs", type=_jobs_arg, default=1)
     sp.set_defaults(func=_cmd_census)
 

@@ -326,12 +326,49 @@ def _disk_table(faces: tuple[Cycle, ...], n_total: int, boundary_len: int) -> _T
     return _Table(rot, (tuple(range(boundary_len)),))
 
 
+# The 12 relabelings of a hexagon's boundary 0..5: rotations and reflections.
+_HEXAGON_SYMMETRIES = tuple(
+    tuple((s * i + r) % 6 for i in range(6)) for s in (1, -1) for r in range(6)
+)
+
+
+def _least_in_boundary_orbit(faces: tuple[Cycle, ...]) -> bool:
+    """Whether a hexagon filling's boundary degrees are least in their orbit.
+
+    The degree tuple of boundary vertices 0..5 is compared with its 12
+    images under the hexagon's rotations and reflections.  A boundary
+    vertex lies on one face fewer than its degree, since the hole face
+    is not listed.
+    """
+    deg = [1] * 6
+    for face in faces:
+        for v in face:
+            if v < 6:
+                deg[v] += 1
+    least = tuple(deg)
+    return all(least <= tuple(deg[i] for i in p) for p in _HEXAGON_SYMMETRIES)
+
+
 def generate_hexagon_disks(max_internal: int) -> list[EmbeddedGraph]:
-    """All quadrangulated disks with a 6-ring, chords allowed, isomorph-free."""
+    """All quadrangulated disks with a 6-ring, chords allowed, isomorph-free.
+
+    A filling is canonicalized only when its boundary degree tuple is
+    lexicographically least among its 12 rotations and reflections, which
+    drops most relabelings of one disk before their canonical form.  No
+    class is lost: the filler yields every filling of the labeled oriented
+    hexagon, so for each filling it also yields the image under every
+    symmetry of the hexagon (a reflection with its faces reversed), which
+    is the same disk up to mirror image.  Those images carry every
+    permutation of the degree tuple by the symmetries, and the one with
+    the least tuple is kept.  The classes and their order are those of
+    the unfiltered enumeration; a class's representative may differ.
+    """
     if max_internal < 0:
         raise InvalidParameter("max_internal must be >= 0")
     return _isomorph_free(
-        _disk_table(faces, n_total, 6) for faces, n_total in _fill_disk(6, max_internal)
+        _disk_table(faces, n_total, 6)
+        for faces, n_total in _fill_disk(6, max_internal)
+        if _least_in_boundary_orbit(faces)
     )
 
 

@@ -11,7 +11,9 @@ canonical-form, cycle-canon, hole-face, contractibility and quad33
 references are the library's former versions: whole-prefix transcript
 comparison, trying every rotation of a cycle, a scan of every face,
 splitting the faces along the cycle, and gluing and building every cut
-of every length, deduplicated here.
+of every length, deduplicated here.  The framed catalog and hexagon-disk
+references are former versions too: the catalog built in one shot at
+the asked bound, and every filling of the hexagon canonicalized.
 """
 
 from __future__ import annotations
@@ -599,3 +601,30 @@ def reference_quad33(max_vertices: int) -> list[EmbeddedGraph]:
             if g is not None and g.n <= max_vertices:
                 seen.setdefault(canonical_form(g), g)
     return [seen[k] for k in sorted(seen)]
+
+
+# ---------------------------------------------------------------------------
+# framed catalog and hexagon disks, built whole
+# ---------------------------------------------------------------------------
+
+
+def reference_framed_catalog(catalog_bound: int, patch_bound: int) -> dict:
+    """The catalog of framed patched chain graphs, built once at the bound:
+    the first recipe of each canonical form in enumeration order."""
+    from cylcolor._canon import canonical_form
+    from cylcolor.families import enumerate_framed_patched
+
+    catalog: dict = {}
+    for graph, recipe in enumerate_framed_patched(catalog_bound, patch_bound):
+        catalog.setdefault(canonical_form(graph), recipe)
+    return catalog
+
+
+def reference_hexagon_disks(max_internal: int) -> list[EmbeddedGraph]:
+    """generate_hexagon_disks canonicalizing every filling, with no
+    boundary-orbit filter."""
+    from cylcolor.families import _disk_table, _fill_disk, _isomorph_free
+
+    return _isomorph_free(
+        _disk_table(faces, n_total, 6) for faces, n_total in _fill_disk(6, max_internal)
+    )

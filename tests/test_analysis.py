@@ -41,7 +41,12 @@ from cylcolor.families import (
 )
 
 import fixtures
-from oracles import reference_canonical_form, reference_is_contractible, reference_is_critical
+from oracles import (
+    reference_canonical_form,
+    reference_framed_catalog,
+    reference_is_contractible,
+    reference_is_critical,
+)
 
 
 # -- criticality ------------------------------------------------------------------
@@ -315,6 +320,45 @@ def test_catalog_contains_plain_framed_members():
     assert canonical_form(f) in catalog
 
 
+@pytest.mark.parametrize("catalog_bound, patch_bound", [(14, 1), (16, 2)])
+def test_catalog_grown_by_queries_matches_one_shot_build(monkeypatch, catalog_bound, patch_bound):
+    # query sizes in a shuffled order: each catalog returned holds every
+    # member up to the size asked for and no graph outside the family, and
+    # the grown catalog is the one-shot build, recipes included
+    from cylcolor.families import build_framed_patched
+
+    reference = reference_framed_catalog(catalog_bound, patch_bound)
+    size = {key: build_framed_patched(recipe).n for key, recipe in reference.items()}
+    monkeypatch.setattr(analysis, "_CATALOG_CACHE", {})
+    sizes = list(range(catalog_bound + 1))
+    random.Random(catalog_bound).shuffle(sizes)
+    for n in sizes:
+        catalog = framed_patched_catalog(n, patch_bound)
+        assert catalog.keys() <= reference.keys()
+        assert {key for key in reference if size[key] <= n} <= catalog.keys()
+    assert framed_patched_catalog(catalog_bound, patch_bound) == reference
+
+
+def test_cold_recognize_builds_members_up_to_the_input_size(monkeypatch):
+    from cylcolor import families
+
+    enumerated = []
+
+    def counted(max_vertices, patch_bound):
+        for item in families.enumerate_framed_patched(max_vertices, patch_bound):
+            enumerated.append(item[0].n)
+            yield item
+
+    monkeypatch.setattr(analysis, "_CATALOG_CACHE", {})
+    monkeypatch.setattr(analysis, "enumerate_framed_patched", counted)
+    g = cylinder_grid(4, 3)  # 12 vertices, a member of neither family
+    assert recognize(g, catalog_bound=20, patch_bound=4).verdict == "neither"
+    # the whole catalog at (20, 4) enumerates 57 013 members
+    assert len(enumerated) == 43 and max(enumerated) == 12
+    assert recognize(g, catalog_bound=20, patch_bound=4).verdict == "neither"
+    assert len(enumerated) == 43  # the second query reads the cached catalog
+
+
 # -- census -----------------------------------------------------------------------------------
 
 
@@ -374,7 +418,7 @@ def test_census_parallel_builds_no_catalog_for_nq_corpus():
     # catalog and the parent process must not build it either
     from cylcolor import analysis
 
-    key = (9, 0)  # a bound pair no other test builds
+    key = 0  # the cache keeps one catalog per patch bound
     analysis._CATALOG_CACHE.pop(key, None)
     report = census(generate_quad33(7), guard=14, catalog_bound=9, patch_bound=0, jobs=2)
     assert all(r.verdict == "NQ" for r in report.records)

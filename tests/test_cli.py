@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cylcolor.cli import _FAMILIES, main
 from cylcolor.embedding import emit_emg, parse_emg, parse_emg_stream
-from cylcolor.families import near_quad33
+from cylcolor.families import cylinder_grid, near_quad33
 
 import fixtures
 
@@ -331,6 +331,21 @@ def test_classify_past_catalog_bound_is_unknown(capsys, monkeypatch):
     assert "catalog bound 6" in err
 
 
+def test_negative_catalog_or_patch_bound_is_usage_error(capsys, monkeypatch):
+    grid = emit_emg(cylinder_grid(4, 3))
+    for argv, bad in (
+        (["classify", "--catalog-bound", "8", "--patch-bound", "-1"], "--patch-bound"),
+        (["classify", "--catalog-bound", "-5"], "--catalog-bound"),
+        (["census", "--family", "quad33", "--patch-bound", "-1"], "--patch-bound"),
+        (["census", "--family", "stdin", "--catalog-bound", "-1"], "--catalog-bound"),
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(grid))
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        assert f"error: argument {bad}: bound -" in capsys.readouterr().err, argv
+
+
 def _bad_ring_text() -> str:
     # a 7-vertex map whose first ring names vertex 7
     lines = emit_emg(near_quad33(fixtures.prism(), ((0, 1), None))).splitlines()
@@ -424,7 +439,7 @@ _FUZZ_SEEDS = [
 ]
 _FUZZ_VERBS = [
     ["faces"], ["count"], ["extendset"], ["critical"], ["chain"], ["color"],
-    ["classify", "--catalog-bound", "10", "--patch-bound", "0"],
+    ["classify"],
 ]
 _EDIT = st.tuples(
     st.sampled_from("rdi"),  # replace, delete, insert
@@ -503,8 +518,7 @@ _FUZZ_ARGV = st.one_of(
     st.sampled_from(list(_FAMILIES)).flatmap(_gen_argv),
     _argv(
         "census", st.sampled_from([["--family", f] for f in ("quad33", "framed-tw", "stdin")]),
-        # always bounded: the default catalog bound of 20 builds for 20 s
-        st.integers(-3, 10).map(lambda v: ["--catalog-bound", str(v)]),
+        _opt("--catalog-bound", st.integers(-3, 10)),
         _opt("--max-vertices", st.integers(-3, 8)), _opt("--patch-bound", _NUM),
     ),
 )

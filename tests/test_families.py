@@ -58,6 +58,7 @@ from oracles import (
     atlas_quad33_count,
     brute_count,
     reference_cut_is_shortest,
+    reference_hexagon_disks,
     reference_quad33,
 )
 
@@ -186,6 +187,30 @@ def test_hexagon_disks_include_chorded():
     canons = {canonical_form(d) for d in disks}
     assert canonical_form(fixtures.chord_hexagon()) in canons
     assert canonical_form(fixtures.hub_hexagon()) in canons
+
+
+@pytest.mark.parametrize("max_internal", range(6))
+def test_hexagon_disks_match_unfiltered_reference(max_internal):
+    got = [canonical_form(d) for d in generate_hexagon_disks(max_internal)]
+    want = [canonical_form(d) for d in reference_hexagon_disks(max_internal)]
+    assert got == want
+
+
+@pytest.mark.skipif(not FULL, reason="six internal vertices take seconds")
+def test_hexagon_disk_count_at_six():
+    assert len(generate_hexagon_disks(6)) == 4053
+
+
+def test_hexagon_disks_canonicalize_one_filling_per_boundary_orbit(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return canonical_form(m)
+
+    monkeypatch.setattr(families, "canonical_form", counted)
+    assert len(generate_hexagon_disks(4)) == 178
+    assert len(calls) == 192  # of 1 802 fillings
 
 
 # -- patching ---------------------------------------------------------------------
@@ -387,17 +412,18 @@ def test_quad33_invalid_bound():
 
 # sha256 of the `cylcolor gen` EMG stream of each generator.  They pin the
 # representatives and their order independently of the disk filler, which
-# reference_quad33 shares.
+# reference_quad33 shares.  The hexagon-disk representatives are the first
+# fillings whose boundary degrees are least in their orbit.
 _STREAM_DIGESTS = {
     ("quad33", 6): "522d55d96e9db5c095d252d92edae90dc390af250328c8c5389ff5e9b5ed1546",
     ("quad33", 7): "0863e54a4ef060f9061e713260a8cc4fddde801dea2fd80ec759169ad7a02c3c",
     ("quad33", 8): "9f7434e6df8ba05a26d64ecd3c72730b4dc10b800e84340b2c21d51057eac84e",
     ("quad33", 9): "29366f13a689cb8c9e7401195b21ad48f2f94c9d99ff4cbcc5527e07d0a5e4cb",
-    ("hexagon_disks", 0): "64176a838c7fa546b09b1e8dd3e16e0495caa4e2aaf12d844015347b18d2a142",
-    ("hexagon_disks", 1): "388d819253ec346b79ba9bfda470a7a19217f2eb20cc49577f79a876bd0a637b",
-    ("hexagon_disks", 2): "12b05a473f00281e316f86ba2919d8c7a431dd8eadd3a90c59f0067fa1efe9d4",
-    ("hexagon_disks", 3): "37faef7bbd933ccef68932570f0773b0e9fae93e18da4093e246466e0030b4cf",
-    ("hexagon_disks", 4): "08a6df1bdbb0b7ac644a3a17b341fecf819150f54ed52dee1d627440ca63452a",
+    ("hexagon_disks", 0): "bd0315681ad2981549a680cf7e490bb36bf6c926a931b7ff8eb3adb31da23095",
+    ("hexagon_disks", 1): "0736594309ac3110b8c73534b054e3142760a2ddd133dd17bdd1b2872d855980",
+    ("hexagon_disks", 2): "2fd6110b13c4cf548d8f133f79350164a9c1090adabc4c3a9a71a378faf54682",
+    ("hexagon_disks", 3): "5e235bf0297fb15a69a5d42c57aa568f491327c118e4f1ecfe814bdc6aaaa104",
+    ("hexagon_disks", 4): "cf935121b77646536601483ef0a6ca12c7809f0f4e87193552bf59ef42e5409b",
     ("patches", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("patches", 1): "9b632ec6bf978a1d2833bb738a9cb0e0446f50a5a031f690a8269abcccbaa19e",
     ("patches", 2): "81429a17cccc553366f683e11e05bc40899b67f012f9cc77fc5fc4d97ff8e2cd",
