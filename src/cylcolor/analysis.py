@@ -233,16 +233,18 @@ def framed_patched_catalog(
     internal vertices and whose vertex count is at most catalog_bound.
     One catalog is kept per patch bound.  A catalog complete up to a
     larger vertex bound answers every smaller query, so it is returned
-    as it is; otherwise the catalog is rebuilt at catalog_bound, and so
-    grows to the largest bound asked for.
+    as it is.  A catalog complete only up to a smaller bound b0 grows in
+    place by the members with more than b0 vertices, so each member is
+    enumerated once however the queries grow.  The recipes are those of
+    one build at the largest bound asked for: every member of a class has
+    the same vertex count, so the first recipe of a class in the
+    enumeration restricted to sizes above b0 is its first recipe overall.
     """
-    cached = _CATALOG_CACHE.get(patch_bound)
-    if cached is not None and cached[0] >= catalog_bound:
-        return cached[1]
-    catalog: dict[bytes, FramedRecipe] = {}
-    for graph, recipe in enumerate_framed_patched(catalog_bound, patch_bound):
-        catalog.setdefault(canonical_form(graph), recipe)
-    _CATALOG_CACHE[patch_bound] = (catalog_bound, catalog)
+    built, catalog = _CATALOG_CACHE.get(patch_bound, (0, {}))
+    if built < catalog_bound:
+        for graph, recipe in enumerate_framed_patched(catalog_bound, patch_bound, built):
+            catalog.setdefault(canonical_form(graph), recipe)
+        _CATALOG_CACHE[patch_bound] = (catalog_bound, catalog)
     return catalog
 
 

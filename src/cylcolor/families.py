@@ -19,14 +19,21 @@ refuses each new side that would be a loop or a parallel edge in it, and
 streams the fillings as it completes them.  The quad33 generator fills
 a disk only along a cut that is a shortest path between the rings: the
 filler prunes longer cuts as it fills, since they re-derive graphs that
-an earlier, shorter cut already gave, so the first representative of
-each class is unchanged.
+an earlier, shorter cut already gave.  The hexagon-disk and quad33
+generators canonicalize a filling only when its boundary degree tuple
+is least among its images under the symmetries of the boundary (the
+hexagon's 12, the cut disk's 4), which drops most relabelings of one
+class before their canonical form: the classes and their order stay
+those of the unfiltered enumeration, while a class's representative may
+differ.  The patch generator is left unfiltered, as its representatives
+are written into the framed-chain recipes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ._canon import canonical_form
@@ -332,21 +339,24 @@ _HEXAGON_SYMMETRIES = tuple(
 )
 
 
-def _least_in_boundary_orbit(faces: tuple[Cycle, ...]) -> bool:
-    """Whether a hexagon filling's boundary degrees are least in their orbit.
+def _least_in_boundary_orbit(
+    faces: tuple[Cycle, ...], symmetries: tuple[tuple[int, ...], ...]
+) -> bool:
+    """Whether a filling's boundary degrees are least in their orbit.
 
-    The degree tuple of boundary vertices 0..5 is compared with its 12
-    images under the hexagon's rotations and reflections.  A boundary
-    vertex lies on one face fewer than its degree, since the hole face
-    is not listed.
+    The degree tuple of boundary vertices 0..B-1 is compared with its
+    images under ``symmetries``, a group of permutations of the boundary
+    positions.  A boundary vertex lies on one face fewer than its degree,
+    since the hole face is not listed.
     """
-    deg = [1] * 6
+    B = len(symmetries[0])
+    deg = [1] * B
     for face in faces:
         for v in face:
-            if v < 6:
+            if v < B:
                 deg[v] += 1
     least = tuple(deg)
-    return all(least <= tuple(deg[i] for i in p) for p in _HEXAGON_SYMMETRIES)
+    return all(least <= itemgetter(*p)(deg) for p in symmetries)
 
 
 def generate_hexagon_disks(max_internal: int) -> list[EmbeddedGraph]:
@@ -368,7 +378,7 @@ def generate_hexagon_disks(max_internal: int) -> list[EmbeddedGraph]:
     return _isomorph_free(
         _disk_table(faces, n_total, 6)
         for faces, n_total in _fill_disk(6, max_internal)
-        if _least_in_boundary_orbit(faces)
+        if _least_in_boundary_orbit(faces, _HEXAGON_SYMMETRIES)
     )
 
 
@@ -570,6 +580,22 @@ def _quad33_cut(L: int) -> _Cut:
     return _Cut(L, tuple(keep), 0b111, 0b111 << (3 + L))
 
 
+def _quad33_symmetries(L: int) -> tuple[tuple[int, ...], ...]:
+    """The four relabelings of the quad33 disk boundary that keep its cut.
+
+    The reflection r(i) = 3 - i swaps the two copies of the cut path (and
+    reverses the faces), the end swap s(i) = i + 3 + L exchanges the ring
+    triangles, both mod B = 6 + 2L; with r∘s and the identity they map
+    the gluing of ``_quad33_cut(L)`` and its pair of ring triangles to
+    themselves.
+    """
+    B = 6 + 2 * L
+    return tuple(
+        tuple((sign * i + shift) % B for i in range(B))
+        for sign, shift in ((1, 0), (-1, 3), (1, 3 + L), (-1, -L))
+    )
+
+
 def _glue_remap(cut: _Cut, n_total: int) -> list[int]:
     """Dense ids after gluing, for the disk vertices 0..n_total-1.
 
@@ -613,8 +639,21 @@ def generate_quad33(max_vertices: int) -> list[EmbeddedGraph]:
     longer than the ring distance, so only shortest cuts are glued: a
     longer cut only re-derives a graph.  Cut lengths ascend and
     no cut is shorter than the ring distance, so the first derivation of
-    each class is a shortest cut, and the kept representatives are those
-    of the unfiltered enumeration.
+    each class is a shortest cut.
+
+    A filling is glued and canonicalized only when its boundary degree
+    tuple is least among its images under the four symmetries of the
+    cut (``_quad33_symmetries``).  No class is lost.  The filler yields
+    every labelled filling of the oriented boundary, and each of its
+    refusals (loops, parallel sides, rings closer than L) is invariant
+    under those symmetries, since they preserve the gluing and the pair
+    of ring triangles.  So with each filling the filler also yields all
+    its images, at the same L, and one of them has the least tuple.
+    Canonical forms identify mirror images and ring swaps, so an image
+    glues into the same class.  Each class therefore keeps the cut
+    length of its first derivation, a shortest cut, and the classes and
+    their order are those of the unfiltered enumeration; only a class's
+    representative may differ.
     """
     if max_vertices < 6:
         raise InvalidParameter("max_vertices must be >= 6")
@@ -622,13 +661,16 @@ def generate_quad33(max_vertices: int) -> list[EmbeddedGraph]:
 
 
 def _quad33_gluings(max_vertices: int) -> Iterator[_Table]:
-    """The tables glued from every shortest cut, in derivation order."""
+    """The tables glued from one filling per symmetry orbit of every
+    shortest cut, in derivation order."""
     for L in range(1, max_vertices - 4):
         cut = _quad33_cut(L)
+        symmetries = _quad33_symmetries(L)
         B, budget = 6 + 2 * L, max_vertices - 5 - L
         remap = _glue_remap(cut, B + budget)
         for faces, n_total in _fill_disk(B, budget, cut=cut):
-            yield _glue_quad33(faces, n_total, L, remap)
+            if _least_in_boundary_orbit(faces, symmetries):
+                yield _glue_quad33(faces, n_total, L, remap)
 
 
 def is_quad33(g: EmbeddedGraph) -> bool:
@@ -690,15 +732,17 @@ def subdivision_choices(base: EmbeddedGraph):
 
 
 def generate_near_quad33(max_vertices: int) -> list[EmbeddedGraph]:
-    """Every near 3,3-quadrangulation whose base has at most max_vertices.
+    """Every near 3,3-quadrangulation with at most max_vertices, isomorph-free.
 
     Each quad33 base with each choice of at most one subdivided edge per
-    ring, isomorph-free.
+    ring, kept when the base's vertices plus its subdivision vertices
+    are at most max_vertices.
     """
     return _isomorph_free(
         near_quad33(base, subs)
         for base in generate_quad33(max_vertices)
         for subs in subdivision_choices(base)
+        if base.n + sum(e is not None for e in subs) <= max_vertices
     )
 
 
@@ -863,13 +907,17 @@ def _independent_subsets(g: EmbeddedGraph, verts: list[int]) -> list[tuple[int, 
 
 
 def enumerate_framed_patched(
-    max_vertices: int, patch_bound: int | None = None
+    max_vertices: int, patch_bound: int | None = None, above: int = 0
 ) -> Iterable[tuple[EmbeddedGraph, FramedRecipe]]:
     """Every framed patched chain graph within the given bounds.
 
     Exhaustive over the chain length, patch placements (all alignments,
     every patch with at most patch_bound internal vertices), and the
     four framing choices per end; the vertex budget prunes assignments.
+    Only members with more than ``above`` vertices are yielded, in the
+    order of the enumeration without that bound: a placement that stays
+    at ``above`` vertices or fewer even with four fresh framing vertices
+    is dropped before it is patched.
     Not deduplicated; callers deduplicate by canonical form.
     """
     n = 1
@@ -904,6 +952,8 @@ def enumerate_framed_patched(
 
         for subset in _independent_subsets(base, placeable):
             for combo in assignments(len(subset), budget_all):
+                if base.n + sum(2 + m for _, m, _ in combo) + 4 <= above:
+                    continue
                 placements = [(v, p) for v, (p, _, _) in zip(subset, combo)]
                 texts = tuple((v, t) for v, (_, _, t) in zip(subset, combo))
                 if placements:
@@ -917,7 +967,7 @@ def enumerate_framed_patched(
                 for ch1 in FRAME_CHOICES:
                     for ch2 in FRAME_CHOICES:
                         extra = sum(ch1) + sum(ch2)
-                        if patched.n + extra > max_vertices:
+                        if not above < patched.n + extra <= max_vertices:
                             continue
                         framed = frame(patched, mapped, (ch1, ch2))
                         yield framed, FramedRecipe(n, texts, (ch1, ch2))

@@ -604,7 +604,7 @@ def reference_quad33(max_vertices: int) -> list[EmbeddedGraph]:
 
 
 # ---------------------------------------------------------------------------
-# framed catalog and hexagon disks, built whole
+# framed catalog, hexagon disks and near quad33, built whole
 # ---------------------------------------------------------------------------
 
 
@@ -627,4 +627,22 @@ def reference_hexagon_disks(max_internal: int) -> list[EmbeddedGraph]:
 
     return _isomorph_free(
         _disk_table(faces, n_total, 6) for faces, n_total in _fill_disk(6, max_internal)
+    )
+
+
+def reference_near_quad33(max_base_vertices: int) -> list[EmbeddedGraph]:
+    """Every subdivision variant of every quad33 base on at most
+    max_base_vertices, isomorph-free: the variants reach two vertices past
+    the bound."""
+    from cylcolor.families import (
+        _isomorph_free,
+        generate_quad33,
+        near_quad33,
+        subdivision_choices,
+    )
+
+    return _isomorph_free(
+        near_quad33(base, subs)
+        for base in generate_quad33(max_base_vertices)
+        for subs in subdivision_choices(base)
     )

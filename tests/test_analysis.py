@@ -339,18 +339,33 @@ def test_catalog_grown_by_queries_matches_one_shot_build(monkeypatch, catalog_bo
     assert framed_patched_catalog(catalog_bound, patch_bound) == reference
 
 
-def test_cold_recognize_builds_members_up_to_the_input_size(monkeypatch):
+def _count_enumerated(monkeypatch) -> list[int]:
+    """Empty the catalog cache and record the size of each member enumerated."""
     from cylcolor import families
 
     enumerated = []
 
-    def counted(max_vertices, patch_bound):
-        for item in families.enumerate_framed_patched(max_vertices, patch_bound):
+    def counted(max_vertices, patch_bound, above=0):
+        for item in families.enumerate_framed_patched(max_vertices, patch_bound, above):
             enumerated.append(item[0].n)
             yield item
 
     monkeypatch.setattr(analysis, "_CATALOG_CACHE", {})
     monkeypatch.setattr(analysis, "enumerate_framed_patched", counted)
+    return enumerated
+
+
+def test_catalog_growth_enumerates_each_member_once(monkeypatch):
+    enumerated = _count_enumerated(monkeypatch)
+    for n in (4, 8, 11, 14):
+        framed_patched_catalog(n, 2)
+    # a rebuild at each step would enumerate 1 + 21 + 37 + 245 = 304
+    assert len(enumerated) == 245
+    assert framed_patched_catalog(14, 2) == reference_framed_catalog(14, 2)
+
+
+def test_cold_recognize_builds_members_up_to_the_input_size(monkeypatch):
+    enumerated = _count_enumerated(monkeypatch)
     g = cylinder_grid(4, 3)  # 12 vertices, a member of neither family
     assert recognize(g, catalog_bound=20, patch_bound=4).verdict == "neither"
     # the whole catalog at (20, 4) enumerates 57 013 members

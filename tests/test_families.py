@@ -36,6 +36,7 @@ from cylcolor.families import (
     _fill_disk,
     _isomorph_free,
     _quad33_cut,
+    _quad33_symmetries,
     attach_pendant_ring,
     cylinder_grid,
     frame,
@@ -59,6 +60,7 @@ from oracles import (
     brute_count,
     reference_cut_is_shortest,
     reference_hexagon_disks,
+    reference_near_quad33,
     reference_quad33,
 )
 
@@ -300,6 +302,18 @@ def test_framed_t2_has_interior_short_cycle():
     assert others  # the old rings stayed non-contractible
 
 
+@pytest.mark.parametrize("above", [8, 11, 13])
+def test_framed_enumeration_above_a_size_is_the_filtered_enumeration(above):
+    # members and recipes in the same order as the whole enumeration
+    got = [(g.rotations, g.rings, r) for g, r in families.enumerate_framed_patched(14, 2, above)]
+    want = [
+        (g.rotations, g.rings, r)
+        for g, r in families.enumerate_framed_patched(14, 2)
+        if g.n > above
+    ]
+    assert got == want
+
+
 def test_frame_preserves_interior_faces():
     g, pairs = reduced_thomas_walls(3)
     f = frame(g, pairs, ((True, True), (True, False)))
@@ -348,14 +362,51 @@ def test_quad33_matches_atlas_oracle_up_to_7():
 
 
 def test_quad33_class_counts():
-    assert [len(generate_quad33(n)) for n in range(6, 10)] == [2, 10, 58, 346]
+    assert [len(generate_quad33(n)) for n in range(6, 11)] == [2, 10, 58, 346, 2094]
 
 
 def test_quad33_matches_unfiltered_reference():
-    # same representatives in the same order as gluing every cut
-    for n in range(6, 10):
-        got = [emit_emg(g) for g in generate_quad33(n)]
-        assert got == [emit_emg(g) for g in reference_quad33(n)]
+    # the same classes in the same order as gluing every filling of every
+    # cut; the representatives may differ, as one filling per cut-disk
+    # orbit is glued (bound 10 via CYLCOLOR_FULL_ACCEPTANCE=1)
+    for n in range(6, 11 if FULL else 10):
+        got = [canonical_form(g) for g in generate_quad33(n)]
+        assert got == [canonical_form(g) for g in reference_quad33(n)], n
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_quad33_symmetries_keep_the_cut(L):
+    cut = _quad33_cut(L)
+    B = len(cut.keep)
+    glued = {(i, j) for i in range(B) for j in range(B) if cut.keep[i] == cut.keep[j]}
+    triangles = {
+        frozenset(cut.keep[i] for i in range(B) if ring >> cut.keep[i] & 1)
+        for ring in (cut.ring1, cut.ring2)
+    }
+    symmetries = _quad33_symmetries(L)
+    assert len(set(symmetries)) == 4 and tuple(range(B)) in symmetries
+    for p in symmetries:
+        assert sorted(p) == list(range(B))
+        # glued pairs go to glued pairs
+        assert {(p[i], p[j]) for i, j in glued} == glued
+        # each ring triangle goes to a ring triangle
+        for t in triangles:
+            assert frozenset(cut.keep[p[i]] for i in range(B) if cut.keep[i] in t) in triangles
+        # the boundary cycle goes to itself or to its reverse
+        steps = {(p[(i + 1) % B] - p[i]) % B for i in range(B)}
+        assert steps in ({1}, {B - 1})
+
+
+def test_quad33_canonicalizes_one_filling_per_cut_orbit(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return canonical_form(m)
+
+    monkeypatch.setattr(families, "canonical_form", counted)
+    assert len(generate_quad33(9)) == 346
+    assert len(calls) == 725  # of 2 764 shortest-cut fillings
 
 
 def _cut_fill_args(n):
@@ -412,13 +463,14 @@ def test_quad33_invalid_bound():
 
 # sha256 of the `cylcolor gen` EMG stream of each generator.  They pin the
 # representatives and their order independently of the disk filler, which
-# reference_quad33 shares.  The hexagon-disk representatives are the first
-# fillings whose boundary degrees are least in their orbit.
+# reference_quad33 shares.  The hexagon-disk and quad33 representatives are
+# the first fillings whose boundary degrees are least in their orbit, and
+# near_quad33 at 8 holds the variants with at most 8 vertices.
 _STREAM_DIGESTS = {
-    ("quad33", 6): "522d55d96e9db5c095d252d92edae90dc390af250328c8c5389ff5e9b5ed1546",
-    ("quad33", 7): "0863e54a4ef060f9061e713260a8cc4fddde801dea2fd80ec759169ad7a02c3c",
-    ("quad33", 8): "9f7434e6df8ba05a26d64ecd3c72730b4dc10b800e84340b2c21d51057eac84e",
-    ("quad33", 9): "29366f13a689cb8c9e7401195b21ad48f2f94c9d99ff4cbcc5527e07d0a5e4cb",
+    ("quad33", 6): "5c49ddd94da2b3dd59da6b04d07be63b199707c9e86be938085284cc9990fc00",
+    ("quad33", 7): "6a8dff4821a04fff3f304785cef19c6b9c7945b21d932a389594073a7f9d7125",
+    ("quad33", 8): "954f55169c324be087dd88202b3beadafb71b6234889684c1839c840b6a9afc0",
+    ("quad33", 9): "d1192057b08b011c2343e771f961405995159d7375ecb9f8c78e88aa76f777b7",
     ("hexagon_disks", 0): "bd0315681ad2981549a680cf7e490bb36bf6c926a931b7ff8eb3adb31da23095",
     ("hexagon_disks", 1): "0736594309ac3110b8c73534b054e3142760a2ddd133dd17bdd1b2872d855980",
     ("hexagon_disks", 2): "2fd6110b13c4cf548d8f133f79350164a9c1090adabc4c3a9a71a378faf54682",
@@ -429,7 +481,7 @@ _STREAM_DIGESTS = {
     ("patches", 2): "81429a17cccc553366f683e11e05bc40899b67f012f9cc77fc5fc4d97ff8e2cd",
     ("patches", 3): "2903f17fb617bb644e8a6fc1d2a7efd2c53973f4c0e5954c8c32e3db2440c999",
     ("patches", 4): "ad39a88bbbcbc99182ff2d55e1076bc83b7a5bfc19443d4fec5847cabcf50e3b",
-    ("near_quad33", 8): "e1560d2cf2c079cfc3fbb87a32e4fedf31c2a385651a73024a2620d98f099538",
+    ("near_quad33", 8): "32226fc4cc453f73747b885d9abd3e56cd4fb5262bedb8f04b8fd40a3f35b231",
     # vertex bounds, with patches of at most 2 internal vertices (54 and 235 classes)
     ("framed_patched", 14): "d7d73e704d2b9cf0add6a5b06fb08ebbd2ecec0fcc007a4653c9ef0b27dc5816",
     ("framed_patched", 16): "b78279bb05b889993d4cfc992714f5cf437733b4b112c3f2dcc526c2fdac684c",
@@ -570,9 +622,19 @@ def test_grid_faces():
     assert len(fl.ring_faces) == 2
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_near_quad33_bounds_the_output(n):
+    # the classes of every variant of every base on at most n vertices,
+    # cut down to the variants with at most n vertices
+    got = generate_near_quad33(n)
+    assert max(g.n for g in got) == n
+    want = [canonical_form(g) for g in reference_near_quad33(n) if g.n <= n]
+    assert [canonical_form(g) for g in got] == want
+
+
 def test_near_quad33_and_framed_generators_check_bounds():
-    # 2 bases at 6 vertices; their subdivision variants collapse to 10 classes
-    assert len(generate_near_quad33(6)) == 10
+    # only the 2 bases at 6 vertices; their subdivided variants are larger
+    assert len(generate_near_quad33(6)) == 2
     with pytest.raises(InvalidParameter):
         generate_near_quad33(5)
     with pytest.raises(InvalidParameter):

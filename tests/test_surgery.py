@@ -44,7 +44,7 @@ from cylcolor.errors import (
     PreconditionFailed,
     RingVertex,
 )
-from cylcolor.families import cylinder_grid, frame, generate_near_quad33, reduced_thomas_walls
+from cylcolor.families import cylinder_grid, frame, reduced_thomas_walls
 from cylcolor.surgery import (
     audit_chain,
     chain_decompose,
@@ -65,6 +65,7 @@ from oracles import (
     max_chain_exhaustive,
     reference_is_critical,
     reference_maximal_critical,
+    reference_near_quad33,
 )
 
 
@@ -327,7 +328,7 @@ def _certificate_corpus() -> tuple[EmbeddedGraph, ...]:
     """Cylinder graphs with many non-critical members, where an unsound
     certificate would accept a felt deletion or skip an unfelt one."""
     graphs = [g for _, g in fixtures.cylinder_corpus()]
-    graphs += generate_near_quad33(8)[::6]
+    graphs += reference_near_quad33(8)[::6]  # variants of bases on <= 8 vertices
     graphs += [fixtures.penta_tube(k) for k in (2, 3)]
     return tuple(graphs)
 
