@@ -3,12 +3,14 @@
 All operations return new validated EmbeddedGraphs.  Vertex ids compress
 after deletions (order preserved), so internal variants also return the
 old-to-new id map; audits use it to align ring labels across a surgery.
+Identification and triangle-pair collapse merge vertices by one rule
+(``_merge``) that builds the simple rotation table directly, so each
+builds and validates exactly one map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .coloring import COLORS, blocked_precolorings, _solve_first
@@ -29,7 +31,6 @@ from .embedding import (
 from .errors import (
     AuditFailed,
     DiagonalAdjacent,
-    EulerViolation,
     InvalidParameter,
     MalformedRotation,
     NoSuchCycle,
@@ -50,56 +51,51 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 
-def _simplify_table(
-    rot: dict[int, list[int]], rings: Sequence[Sequence[int]]
+def _merge(
+    rot: dict[int, list[int]], into: dict[int, int], rings: Sequence[Sequence[int]]
 ) -> tuple[EmbeddedGraph, dict[int, int]]:
-    """Build a simple sphere map from a table that may double some edges.
+    """Rename each dropped vertex d to ``into[d]`` and build the simple map.
 
-    An identification can record an edge twice (once per merged side).
-    Keeping the map planar means deleting one coherent copy, i.e. one
-    occurrence at each endpoint; which occurrences pair up is recovered
-    by trying the few combinations and validating the result.
+    ``rot`` is in the old ids, without rows for the dropped vertices;
+    each kept vertex's row is already its merged rotation, its own
+    neighbours first.  A neighbour the renaming repeats in a row is
+    either
+
+    - a digon, at cyclically adjacent positions (the two sides of a
+      collapsed face or of glued triangles): its lower-index copy goes;
+    - or a lens, apart in a kept vertex's row (the merged vertices had a
+      further common neighbour w): the dropped vertex's edge goes, as the
+      later copy in the kept row and as d in w's row.
+
+    Any other repeat raises MalformedRotation.  Returns the map and the
+    old-to-new id map, the dropped vertices included.
     """
-    doubled = []
-    for v in sorted(rot):
-        for u in sorted(set(rot[v])):
-            k = rot[v].count(u)
-            if k > 2:
-                raise MalformedRotation(f"edge {v}-{u} tripled by identification")
-            if k == 2 and rot[u].count(v) != 2:
-                raise MalformedRotation(f"edge {v}-{u} doubled on one side only")
-            if u > v and k == 2:
-                doubled.append((v, u))
-    if not doubled:
-        return compress_rotations(rot, rings)
-    choices = []
-    for v, u in doubled:
-        pv = [i for i, x in enumerate(rot[v]) if x == u]
-        pu = [i for i, x in enumerate(rot[u]) if x == v]
-        choices.append([(v, i, u, j) for i in pv for j in pu])
-    last_error: Exception | None = None
-    for combo in product(*choices):
-        table = {v: list(row) for v, row in rot.items()}
-        removals: dict[int, list[int]] = {}
-        for v, i, u, j in combo:
-            removals.setdefault(v, []).append(i)
-            removals.setdefault(u, []).append(j)
-        ok = True
-        for v, idxs in removals.items():
-            if len(set(idxs)) != len(idxs):
-                ok = False
-                break
-            for i in sorted(idxs, reverse=True):
-                table[v].pop(i)
-        if not ok:
-            continue
-        try:
-            return compress_rotations(table, rings)
-        except (MalformedRotation, EulerViolation) as exc:
-            last_error = exc
-    raise MalformedRotation(
-        f"no planar simplification of doubled edges {doubled}: {last_error}"
+    rows = {v: [into.get(u, u) for u in row] for v, row in rot.items()}
+    lenses = set()  # (row, position) of each copy of a lens edge that goes
+    for d, k in into.items():
+        row = rows[k]
+        for w in set(row):
+            at = [i for i, u in enumerate(row) if u == w]
+            if len(at) == 2 and at[1] - at[0] not in (1, len(row) - 1):
+                if d not in rot[w]:
+                    raise MalformedRotation(f"edge {k}-{w} repeated apart")
+                lenses |= {(k, at[1]), (w, rot[w].index(d))}
+    for v, row in rows.items():
+        row = [u for i, u in enumerate(row) if (v, i) not in lenses]
+        lower = set()
+        for i, u in enumerate(row):
+            if u in row[i + 1 :]:
+                j = row.index(u, i + 1)
+                if row.count(u) > 2 or j - i not in (1, len(row) - 1):
+                    raise MalformedRotation(f"edge {v}-{u} repeated by the merge")
+                lower.add(i)
+        rows[v] = [u for i, u in enumerate(row) if i not in lower]
+    out, remap = compress_rotations(
+        rows, [tuple(into.get(v, v) for v in ring) for ring in rings]
     )
+    for d, k in into.items():
+        remap[d] = remap[k]
+    return out, remap
 
 
 def _linearize(row: Sequence[int], start: int) -> list[int]:
@@ -147,18 +143,12 @@ def _identify_mapped(
     lb = _linearize(g.rotations[v3], v4)  # [v4, ..., v2]
     if la[-1] != v4 or lb[-1] != v2:
         raise NotAFace(f"face walk {walk} inconsistent with rotations")
-    # full multigraph rotation of the merged vertex: the collapsed face
-    # leaves the edges to v2 and v4 doubled (two lenses), simplified below
-    merged = la + lb
-
+    # the merged vertex's rotation: the collapsed face leaves the edges
+    # to v2 and v4 doubled as digons, which the merge rule removes
     rot = {v: list(g.rotations[v]) for v in range(g.n)}
-    rot[keep] = merged
+    rot[keep] = la + lb
     del rot[drop]
-    for v, row in rot.items():
-        rot[v] = [keep if u == drop else u for u in row]
-    out, remap = _simplify_table(rot, g.rings)
-    remap[drop] = remap[keep]
-    return out, remap
+    return _merge(rot, {drop: keep}, g.rings)
 
 
 def identify_across_face(
@@ -167,9 +157,15 @@ def identify_across_face(
     """Identify opposite corners of an internal 4-face into one vertex.
 
     ``diagonal`` selects which opposite pair: "13" for (face[0], face[2]),
-    "24" for (face[1], face[3]).  Parallel edges created by the merge are
-    collapsed; the merged vertex inherits a ring vertex's identity when
-    one endpoint lies on a ring (both on rings is rejected).
+    "24" for (face[1], face[3]).  The merged vertex inherits a ring
+    vertex's identity when one endpoint lies on a ring (both on rings is
+    rejected), else the smaller id.  The merge doubles edges and one copy
+    of each goes: of a digon (to one of the face's other two corners,
+    the collapsed face between the copies) the lower-index one; of a
+    lens (to a further common neighbour of the two ends) the dropped
+    vertex's edge.  The dropped vertex is never on a ring, so the result
+    is the simple identified graph, embedded the same whatever the vertex
+    labels once the kept end is fixed.
     """
     return identify_across_face_mapped(g, face, diagonal)[0]
 
@@ -333,7 +329,15 @@ def collapse_triangle_pair(
 
 
 def _collapse_mapped(g, t1, t2) -> tuple[EmbeddedGraph, dict[int, int]]:
-    """Remove the region between two triangles sharing one vertex and glue them."""
+    """Remove the region between two triangles sharing one vertex and glue them.
+
+    The region is the part of the chain piece between the triangles:
+    the faces on hole 1's side of t2 but not of t1.  Its interior goes,
+    and the triangles, both walked from the shared vertex z as (z, p, q)
+    around the region, glue p1 with q2 and q1 with p2.  The glued sides
+    become digons; a further common neighbour of a glued pair is a lens
+    and keeps the edge of p1 or q1 (see ``_merge``).
+    """
     c1 = tuple(t1.vertices if isinstance(t1, CycleRef) else t1)
     c2 = tuple(t2.vertices if isinstance(t2, CycleRef) else t2)
     for c in (c1, c2):
@@ -348,16 +352,9 @@ def _collapse_mapped(g, t1, t2) -> tuple[EmbeddedGraph, dict[int, int]]:
         raise NotTrianglePair("triangles must share exactly one vertex")
     z = shared.pop()
 
-    holes = g.faces.ring_faces
-    side1 = _face_sides(g, c1)
-    side2 = _face_sides(g, c2)
-    away1 = side1[0] if holes[0] not in side1[0] else side1[1]
-    away2 = side2[0] if len(holes) < 2 or holes[-1] not in side2[0] else side2[1]
-    sigma = away1 & away2
+    sigma = _hole1_side(g, c2) - _hole1_side(g, c1)
     if not sigma:
         raise NotTrianglePair("no region between the triangles")
-    if set(holes) & sigma:
-        raise NotTrianglePair("a hole lies between the triangles")
 
     def boundary_walk(tri: Cycle) -> Cycle:
         darts = []
@@ -420,16 +417,7 @@ def _collapse_mapped(g, t1, t2) -> tuple[EmbeddedGraph, dict[int, int]]:
     # glue p1 with q2 and q1 with p2 (reversed pairing around the annulus)
     splice(p1, q2, q1, z, z, p2)
     splice(q1, p2, z, p1, q2, z)
-    mapping = {q2: p1, p2: q1}
-    for v, row in rot.items():
-        rot[v] = [mapping.get(u, u) for u in row]
-    rings = [tuple(mapping.get(v, v) for v in ring) for ring in g.rings]
-    out, remap = _simplify_table(rot, rings)
-    for old, new in mapping.items():
-        remap[old] = remap[new]
-    for v in interior_vertices:
-        remap.pop(v, None)
-    return out, remap
+    return _merge(rot, {q2: p1, p2: q1}, g.rings)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ comparison, trying every rotation of a cycle, a scan of every face,
 splitting the faces along the cycle, and gluing and building every cut
 of every length, deduplicated here.  The framed catalog and hexagon-disk
 references are former versions too: the catalog built in one shot at
-the asked bound, and every filling of the hexagon canonicalized.
+the asked bound, and every filling of the hexagon canonicalized.  The
+identification oracle merges two vertices with networkx, which knows
+nothing of the embedding.
 """
 
 from __future__ import annotations
@@ -495,6 +497,18 @@ def reference_ring_faces(g: EmbeddedGraph) -> tuple[int, ...]:
     if len(candidates) <= 1:
         return tuple(c[0] for c in candidates)
     return next((i, j) for i in candidates[0] for j in candidates[1] if i != j)
+
+
+# ---------------------------------------------------------------------------
+# identification through networkx
+# ---------------------------------------------------------------------------
+
+
+def reference_identified_edges(g: EmbeddedGraph, keep: int, drop: int) -> set[frozenset[int]]:
+    """The edges of g with ``drop`` merged into ``keep``, parallel edges
+    made one and no loop kept."""
+    merged = nx.contracted_nodes(to_nx(g), keep, drop, self_loops=False)
+    return {frozenset(e) for e in merged.edges()}
 
 
 # ---------------------------------------------------------------------------

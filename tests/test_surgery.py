@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylcolor import surgery
+from cylcolor._canon import canonical_form
 from cylcolor.analysis import is_critical
 from cylcolor.coloring import (
     Precoloring,
@@ -33,6 +34,7 @@ from cylcolor.embedding import (
     trace_faces,
 )
 from cylcolor.errors import (
+    CylColorError,
     DiagonalAdjacent,
     InvalidParameter,
     NoSuchCycle,
@@ -63,6 +65,7 @@ import fixtures
 from oracles import (
     _ref_members,
     max_chain_exhaustive,
+    reference_identified_edges,
     reference_is_critical,
     reference_maximal_critical,
     reference_near_quad33,
@@ -110,6 +113,12 @@ def test_identify_merges_parallel_edge():
     assert out.n == 4 and out.edge_count == 3
     assert all(len(set(r)) == len(r) for r in out.rotations)
     assert sorted(out.neighbors(0)) == [1, 2, 3]  # the merged hub
+    # vertex 4 is a lens: the merged vertex keeps its own edge to it, not
+    # the dropped vertex 2's, so the hub turns as vertex 0 did
+    out, remap = identify_across_face_mapped(g, (0, 1, 2, 3), "13")
+    assert remap[2] == remap[0] == 0
+    own = tuple(remap[u] for u in g.rotations[0])
+    assert out.rotations[0] in {own[i:] + own[:i] for i in range(3)}
 
 
 def test_identify_wheel_stays_simple():
@@ -143,6 +152,113 @@ def test_identify_rejects_both_ring_vertices():
     f = internal_quads(g)[0]
     with pytest.raises(RingVertex):
         identify_across_face(g, f, "13")
+
+
+def _diagonals(f):
+    return (("13", (f[0], f[2])), ("24", (f[1], f[3])))
+
+
+def _is_lens(g: EmbeddedGraph, face, pair) -> bool:
+    """Do the ends of the diagonal have a common neighbour off the face?"""
+    a, b = pair
+    return bool(set(g.neighbors(a)) & set(g.neighbors(b)) - set(face))
+
+
+def test_identify_matches_networkx_contraction():
+    # every identification of the cylinder fixtures (quad33 <= 8 among
+    # them), lenses included, has the simple graph networkx gets by
+    # merging the two vertices
+    lenses = done = 0
+    for name, g in fixtures.cylinder_corpus():
+        for f in internal_quads(g):
+            for diag, (a, b) in _diagonals(f):
+                try:
+                    out, remap = identify_across_face_mapped(g, f, diag)
+                except (DiagonalAdjacent, RingVertex):
+                    continue
+                assert remap[a] == remap[b], (name, f, diag)
+                back = {remap[v]: v for v in range(g.n) if v != b}
+                pulled = {frozenset((back[u], back[v])) for u, v in out.edges()}
+                assert pulled == reference_identified_edges(g, a, b), (name, f, diag)
+                done += 1
+                lenses += _is_lens(g, f, (a, b))
+    assert done > 250 and lenses > 20  # 291 and 26
+
+
+def _merge_records() -> list[str]:
+    """EMG and id map, or the error's name, of every lens-free
+    identification of the cylinder fixtures, and of every collapse of a
+    non-contractible triangle pair sharing one vertex in a fixture or in
+    one of those identifications."""
+    parts = []
+
+    def record(fn, *args):
+        try:
+            out, remap = fn(*args)
+        except CylColorError as exc:
+            parts.append(type(exc).__name__)
+            return None
+        parts.append(emit_emg(out) + repr(sorted(remap.items())))
+        return out
+
+    for _, g in fixtures.cylinder_corpus():
+        inputs = [g]
+        for f in internal_quads(g):
+            for diag, pair in _diagonals(f):
+                if not _is_lens(g, f, pair):
+                    inputs.append(record(identify_across_face_mapped, g, f, diag))
+        for h in filter(None, inputs):
+            tris = [t.vertices for t in enumerate_short_cycles(h, 3) if not t.contractible]
+            for t1 in tris:
+                for t2 in tris:
+                    if len(set(t1) & set(t2)) == 1:
+                        record(surgery._collapse_mapped, h, t1, t2)
+    return parts
+
+
+# sha256 of ``_merge_records()``, one per line, computed when a merge
+# still tried every pairing of the doubled edges' copies: without a lens
+# the merge rule must give the same maps and id maps, byte for byte
+_MERGE_DIGEST = "b41997cd13c30c2fa291e000429b915c0e1e2bcd97e3563cd321ac4539ba28c5"
+
+
+def test_lens_free_merges_are_pinned():
+    records = _merge_records()
+    assert len(records) > 1500
+    stream = "\n".join(records)
+    assert hashlib.sha256(stream.encode("ascii")).hexdigest() == _MERGE_DIGEST
+
+
+# quad33 graphs on 9 vertices whose diagonal has one end on a ring, so the
+# ring fixes which vertex survives, and whose ends have a third common
+# neighbour (vertex 0 and vertex 2, respectively)
+_LENS_CASES = [
+    (
+        ((1, 2, 6, 8, 3), (0, 2), (0, 1, 3, 4), (0, 7, 4, 5, 2), (2, 5, 3, 6),
+         (3, 4), (0, 4, 7), (3, 8, 6), (0, 7)),
+        (3, 4, 6, 7),
+        (3, 6),
+    ),
+    (
+        ((1, 2, 3), (0, 2), (0, 1, 3, 6, 8, 4), (0, 4, 5, 2), (2, 7, 5, 3),
+         (3, 4, 6), (2, 5, 7), (4, 8, 6), (2, 7)),
+        (4, 5, 6, 7),
+        (4, 6),
+    ),
+]
+
+
+@pytest.mark.parametrize("rotations,face,diagonal", _LENS_CASES)
+def test_lens_identification_is_label_independent(rotations, face, diagonal):
+    g = EmbeddedGraph(rotations, ((0, 1, 2), (3, 4, 5)))
+    diag = next(name for name, pair in _diagonals(face) if pair == diagonal)
+    forms = set()
+    for seed in range(6):
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        out = identify_across_face(relabel(g, perm), [perm[v] for v in face], diag)
+        forms.add(canonical_form(out))
+    assert len(forms) == 1
 
 
 # -- distance classes and layer cycles ----------------------------------------------
