@@ -18,12 +18,18 @@ value, combining the values that reach the same frontier coloring:
 ``count_colorings`` adds counts, and the ring relation ORs bitmasks
 over the colorings of ring 1.  Its cost grows with the widest BFS
 layer, not with the number of colorings or of ring precolorings, so
-long chains, tubes and grids stay linear in their length.  The
-relation's final state is read by cheap readers: ``extendable_set``
-and domination read the member tuples through one index template, and
-``blocked_precolorings`` yields the precolorings that do not extend,
-lazily and in lexicographic order, testing each by its bit and building
-an assignment only for a blocked one that is drawn.  Criticality
+long chains, tubes and grids stay linear in their length.  Renaming the
+three colors maps the ring relation onto itself, so its sweep keeps one
+frontier coloring per orbit of the six renamings, in first-occurrence
+normal form, with its bitmask renamed alike; at the end each bitmask is
+closed under the renamings that fix its frontier coloring.  Counting
+keeps every frontier coloring, since fixed colors break the symmetry.
+The relation's final state is read by cheap readers: ``extendable_set``
+and domination read the member tuples through one index template under
+each renaming, and ``blocked_precolorings`` yields the precolorings
+that do not extend, lazily and in lexicographic order, renaming each to
+its orbit's normal form, testing it by one bit and building an
+assignment only for a blocked one that is drawn.  Criticality
 re-tests single deletions with the kernel against those blocked
 precolorings (a deletion can only grow the extendable set), after two
 local rules (``surgery._DeletionTest``): deleting a non-ring vertex of
@@ -36,6 +42,7 @@ recoloring a non-ring vertex on all of them, which is then not searched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from operator import add, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -190,7 +197,7 @@ def count_colorings(g: EmbeddedGraph, psi: Precoloring) -> int:
     psi.validate_for(g)
     adj = g.rotations
     order = _sweep_order(adj, sorted(g.rings[0]) if g.rings else [0])
-    _, state = _frontier(adj, order, (), {(): 1}, set(), psi.assignments, add)
+    _, state = _frontier(adj, order, (), {(): 1}, set(), psi.assignments, add, None)
     return sum(state.values())
 
 
@@ -204,39 +211,46 @@ def _picker(idx: Sequence[int]):
     return lambda seq: ()
 
 
-def _proper_tuples(earlier: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Color tuples, in lexicographic order, in which position j differs
-    from every earlier position listed in ``earlier[j]``."""
-    combos: list[tuple[int, ...]] = [()]
-    for before in earlier:
-        at = _picker(before)
-        combos = [
-            combo + (c,)
-            for combo in combos
-            for used in [at(combo)]
-            for c in COLORS
-            if c not in used
-        ]
-    return combos
+def _ring_combos(domain: Sequence[int], rings) -> Iterator[tuple[int, ...]]:
+    """The color tuples over ``domain`` (the sorted ring vertices) that
+    are proper on the ring cycles, in lexicographic order, one at a time.
 
-
-def _ring_tuples(g: EmbeddedGraph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """The sorted ring vertices, and the color tuples over them that are
-    proper on the ring cycles, in lexicographic order."""
-    domain = tuple(sorted(g.ring_vertices))
+    ``combo`` is the stack: position i holds the color tried there, 0
+    when unset, and the next color up that no ring neighbour placed
+    before i has is tried when the search comes back to i.
+    """
     pos = {v: i for i, v in enumerate(domain)}
-    earlier: list[list[int]] = [[] for _ in domain]  # ring neighbors placed before
-    for ring in g.rings:
+    earlier: list[list[int]] = [[] for _ in domain]  # ring neighbours placed before
+    for ring in rings:
         for a, b in zip(ring, ring[1:] + ring[:1]):
             i, j = sorted((pos[a], pos[b]))
             earlier[j].append(i)
-    return domain, _proper_tuples(earlier)
+    last = len(domain) - 1
+    if last < 0:
+        yield ()
+        return
+    combo = [0] * len(domain)
+    i = 0
+    while i >= 0:
+        used = [combo[j] for j in earlier[i]]
+        c = combo[i] + 1
+        while c in used:
+            c += 1
+        if c > 3:
+            combo[i] = 0
+            i -= 1
+        else:
+            combo[i] = c
+            if i == last:
+                yield tuple(combo)
+            else:
+                i += 1
 
 
 def ring_precolorings(g: EmbeddedGraph) -> Iterable[tuple[tuple[int, ...], dict[int, int]]]:
     """Total ring precolorings proper on the ring cycles, in lexicographic order."""
-    domain, combos = _ring_tuples(g)
-    for combo in combos:
+    domain = tuple(sorted(g.ring_vertices))
+    for combo in _ring_combos(domain, g.rings):
         yield combo, dict(zip(domain, combo))
 
 
@@ -245,17 +259,20 @@ def _sweep_order(adj, start: Sequence[int]) -> list[int]:
     return [v for layer in bfs_layers(adj, start) for v in sorted(layer)]
 
 
-def _frontier(adj, order, live, state, stay, fixed: Mapping[int, int], join):
+def _frontier(adj, order, live, state, stay, fixed: Mapping[int, int], join, settle):
     """Place the vertices of ``order`` one by one; the final live
     frontier and state.
 
     ``state`` maps each coloring of ``live`` (a tuple over it) to a
     value.  Placing a vertex extends each key by every color the vertex
     may take (its fixed color, or any) that no live neighbour has, and
-    ``join`` combines the values that reach the same key.  A vertex
-    leaves the frontier once all its neighbours are placed, unless it is
-    in ``stay``.  The vertices outside ``order`` count as placed, so
-    those in ``live`` must hold every placed neighbour of ``order``.
+    ``join`` combines the values that reach the same key.  When
+    ``settle`` is given, it maps each placement's new state to the one
+    carried on (the relation sweep folds the color renamings there).  A
+    vertex leaves the frontier once all its neighbours are placed,
+    unless it is in ``stay``.  The vertices outside ``order`` count as
+    placed, so those in ``live`` must hold every placed neighbour of
+    ``order``.
     """
     left = [0] * len(adj)  # unplaced neighbours
     for v in order:
@@ -280,22 +297,76 @@ def _frontier(adj, order, live, state, stay, fixed: Mapping[int, int], join):
                 if c not in used:
                     k = base + (c,) if stays else base
                     grown[k] = join(grown.get(k, 0), value)
-        state = grown
+        state = grown if settle is None else settle(grown)
     return live, state
+
+
+# The six renamings of the colors, identity first: _PERMS[i][c] is the
+# image of color c, and _RENAME[i] is the same map as a bytes.translate
+# table.  _COMPOSE[i][j] is the index of renaming by _PERMS[j], then by
+# _PERMS[i].  _FIXING[m] lists the renamings other than the identity
+# that fix the colors 1..m: the stabilizer of a tuple in normal form
+# whose largest color is m.  _OPENING sends the first two colors of a
+# tuple in order of appearance (fewer if it has fewer) to the renaming
+# that numbers them 1, 2 and the colors it lacks upwards in order.
+_PERMS = tuple((0,) + p for p in permutations(COLORS))
+_RENAME = tuple(bytes(p) + bytes(range(4, 256)) for p in _PERMS)
+_COMPOSE = tuple(
+    tuple(_PERMS.index(tuple(p[c] for c in q)) for q in _PERMS) for p in _PERMS
+)
+_FIXING = tuple(
+    tuple(i for i, p in enumerate(_PERMS) if i and p[: m + 1] == _PERMS[0][: m + 1])
+    for m in range(4)
+)
+_OPENING = {  # built from the last renaming down, so the first one wins
+    bytes(sorted(COLORS, key=p.__getitem__)[:m]): i
+    for i, p in reversed(list(enumerate(_PERMS)))
+    for m in range(3)
+}
+
+
+def _normal(key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The first-occurrence normal form of a color tuple (its colors
+    renamed 1, 2, 3 in order of first appearance), and the index in
+    ``_PERMS`` of the renaming that gives it.
+
+    The second color to appear is the first one after the opening run
+    of the first."""
+    b = bytes(key)
+    head = b[:1]
+    i = _OPENING[head + b.lstrip(head)[:1]]
+    return tuple(b.translate(_RENAME[i])), i
+
+
+def _renamed(mask: int, i: int, ones: int) -> int:
+    """A bitmask over ``_Swept.starts`` with every start renamed by
+    ``_PERMS[i]``; ``ones`` has the first bit of every orbit."""
+    out = 0
+    for j, to in enumerate(_COMPOSE[i]):
+        out |= (mask >> j & ones) << to
+    return out
 
 
 @dataclass(frozen=True)
 class _Swept:
-    """The final state of one frontier sweep of a graph.
+    """The final state of one frontier sweep of a graph, one frontier
+    coloring per orbit of the color renamings.
 
-    ``state`` maps each coloring of ``live`` (the vertices of the rings
-    after the first, and possibly some of ring 1) to the bitmask of the
-    ring-1 colorings ``starts`` (tuples over the sorted vertices of ring
-    1) that reach it.
+    ``starts`` lists the colorings of ring 1 (tuples over its sorted
+    vertices) orbit by orbit: ``starts[6 * k + j]`` is the k-th one in
+    normal form (see ``_normal``) renamed by ``_PERMS[j]``, so renaming
+    by ``_PERMS[i]`` sends it to ``starts[6 * k + _COMPOSE[i][j]]``, and
+    ``ones`` has the bits 6 * k.  ``state`` maps each coloring of
+    ``live`` (the vertices of the rings after the first, and possibly
+    some of ring 1) in normal form to the bitmask of the starts that
+    reach it.  Each mask is closed under the renamings that fix its key,
+    so a pair (start, key) extends exactly when its image under the
+    renaming that puts the key in normal form is in the state.
     """
 
     ring1: tuple[int, ...]
     starts: list[tuple[int, ...]]
+    ones: int
     live: tuple[int, ...]
     state: dict[tuple[int, ...], int]
 
@@ -304,39 +375,77 @@ def _sweep(g: EmbeddedGraph) -> _Swept:
     """Sweep g from ring 1 and return the final state.
 
     Ring 1 is placed first, all of it kept live, which gives its
-    colorings (proper on every edge among its vertices) in lexicographic
-    order; each is tagged with its own bit.  The other vertices follow
-    in BFS order, and ``|`` joins the bits that reach the same frontier
-    coloring.  The vertices of the other rings stay to the end.
+    colorings (proper on every edge among its vertices).  The other
+    vertices follow in BFS order, and ``|`` joins the bits of the starts
+    that reach the same frontier coloring.  The vertices of the other
+    rings stay to the end.
+
+    Renaming the colors of a partial coloring gives a partial coloring,
+    so the sweep keeps one frontier coloring per orbit of the six
+    renamings: it starts from the ring-1 colorings in normal form, and
+    after each placement renames every new key to its normal form and
+    its mask by the same renaming (both memoized for this sweep).  The
+    pairs kept then meet every orbit of the pairs that extend.  A key
+    that some renaming fixes (one with at most one color) is reached by
+    the images of its pairs under that renaming too, so at the end each
+    mask is closed under its key's stabilizer.
     """
     adj = g.rotations
     ring1 = sorted(g.rings[0]) if g.rings else []
-    _, seeded = _frontier(adj, ring1, (), {(): 0}, set(ring1), {}, or_)
-    starts = list(seeded)
+    images: list[dict[int, int]] = [{} for _ in _PERMS]
+    normal: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    ones = 0  # set once the starts are known; the seeding's masks are 0
+
+    def settle(grown: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+        state: dict[tuple[int, ...], int] = {}
+        for k, mask in grown.items():
+            hit = normal.get(k)
+            if hit is None:
+                hit = normal[k] = _normal(k)
+            key, i = hit
+            if i:
+                seen = images[i]
+                renamed = seen.get(mask)
+                if renamed is None:
+                    renamed = seen[mask] = _renamed(mask, i, ones)
+                mask = renamed
+            state[key] = state.get(key, 0) | mask
+        return state
+
+    _, seeded = _frontier(adj, ring1, (), {(): 0}, set(ring1), {}, or_, settle)
+    starts = [tuple(bytes(s).translate(r)) for s in seeded for r in _RENAME]
+    ones = sum(1 << 6 * k for k in range(len(seeded)))
     order = _sweep_order(adj, ring1 or [0])[len(ring1):]
     stay = set().union(*g.rings[1:])
-    state = {s: 1 << i for i, s in enumerate(starts)}
-    live, state = _frontier(adj, order, ring1, state, stay, {}, or_)
-    return _Swept(tuple(ring1), starts, tuple(live), state)
+    state = {s: 1 << 6 * k for k, s in enumerate(seeded)}
+    live, state = _frontier(adj, order, ring1, state, stay, {}, or_, settle)
+    for key, mask in state.items():
+        for i in _FIXING[max(key, default=0)]:
+            state[key] |= _renamed(mask, i, ones)
+    return _Swept(tuple(ring1), starts, ones, tuple(live), state)
 
 
 def _members(sw: _Swept, order: Sequence[int]) -> frozenset[tuple[int, ...]]:
     """The extending ring precolorings, as color tuples over ``order``
     (the ring vertices).
 
-    Each member is read from its ring-1 coloring followed by the state's
-    key, through one index template.
+    Each member is read from a start followed by a key, both renamed by
+    one of the six renamings, through one index template.
     """
     where = {v: i for i, v in enumerate(sw.ring1)}
     where.update((v, len(sw.ring1) + i) for i, v in enumerate(sw.live))
     fill = _picker([where[v] for v in order])
-    starts = sw.starts
+    starts, ones = sw.starts, sw.ones
     members = set()
     for key, mask in sw.state.items():
-        while mask:
-            low = mask & -mask
-            members.add(fill(starts[low.bit_length() - 1] + key))
-            mask ^= low
+        colors = bytes(key)
+        for i, rename in enumerate(_RENAME):
+            renamed = tuple(colors.translate(rename))
+            m = _renamed(mask, i, ones) if i else mask
+            while m:
+                low = m & -m
+                members.add(fill(starts[low.bit_length() - 1] + renamed))
+                m ^= low
     return frozenset(members)
 
 
@@ -344,19 +453,29 @@ def blocked_precolorings(g: EmbeddedGraph) -> Iterator[dict[int, int]]:
     """The ring precolorings of g that do not extend, lazily, in the
     lexicographic order of ``ring_precolorings``.
 
-    Each precoloring is tested by its bit in the final sweep state; an
-    assignment is built only for a blocked one, when it is drawn.
+    The starts that reach a coloring of the final frontier are those of
+    the state's key for its normal form, renamed back; they are read
+    once per frontier coloring met.  Each precoloring is then tested by
+    the bit of its ring-1 part, and an assignment is built only for a
+    blocked one, when it is drawn.
     """
     sw = _sweep(g)
-    domain, combos = _ring_tuples(g)
+    domain = tuple(sorted(g.ring_vertices))
     pos = {v: i for i, v in enumerate(domain)}
     on_ring1 = _picker([pos[v] for v in sw.ring1])
     on_live = _picker([pos[v] for v in sw.live])
-    start_bit = {s: 1 << i for i, s in enumerate(sw.starts)}
-    state = sw.state
-    for combo in combos:
+    index = {s: j for j, s in enumerate(sw.starts)}
+    reach: dict[tuple[int, ...], int] = {}
+    for combo in _ring_combos(domain, g.rings):
+        live = on_live(combo)
+        mask = reach.get(live)
+        if mask is None:
+            key, i = _normal(live)
+            back = _COMPOSE[i].index(0)
+            mask = reach[live] = _renamed(sw.state.get(key, 0), back, sw.ones)
         # a ring-1 coloring improper on a chord has no bit and never extends
-        if not state.get(on_live(combo), 0) & start_bit.get(on_ring1(combo), 0):
+        j = index.get(on_ring1(combo))
+        if j is None or not mask >> j & 1:
             yield dict(zip(domain, combo))
 
 

@@ -447,12 +447,24 @@ def _connected_after(
 def _deletion_adjacency(rows: dict[int, Sequence[int]], edge=None, vertex=None):
     """Solver adjacency of a rotation table with one edge (a pair) or
     one vertex deleted; ids below the largest one without a row are
-    isolated."""
-    cut = {tuple(edge), tuple(edge)[::-1]} if edge else set()
-    adj = [()] * (max(rows) + 1)
+    isolated.
+
+    The rows the deletion does not touch are ``rows``' own, shared, so
+    the adjacency is valid only until ``rows`` next changes; only the
+    ends of the edge, or the vertex and its neighbours, are re-filtered,
+    each in its order.
+    """
+    adj: list[Sequence[int]] = [()] * (max(rows) + 1)
     for v, row in rows.items():
-        if v != vertex:
-            adj[v] = tuple(u for u in row if u != vertex and (v, u) not in cut)
+        adj[v] = row
+    if edge is None:
+        adj[vertex] = ()
+        for u in rows[vertex]:
+            adj[u] = tuple(w for w in rows[u] if w != vertex)
+    else:
+        a, b = edge
+        adj[a] = tuple(w for w in rows[a] if w != b)
+        adj[b] = tuple(w for w in rows[b] if w != a)
     return adj
 
 

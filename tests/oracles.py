@@ -15,7 +15,9 @@ of every length, deduplicated here.  The framed catalog and hexagon-disk
 references are former versions too: the catalog built in one shot at
 the asked bound, and every filling of the hexagon canonicalized.  The
 identification oracle merges two vertices with networkx, which knows
-nothing of the embedding.
+nothing of the embedding.  The relation-sweep reference is the
+library's former sweep, which kept every frontier coloring apart from
+its color renamings.
 """
 
 from __future__ import annotations
@@ -270,6 +272,71 @@ def _ref_members(adj, g: EmbeddedGraph) -> frozenset:
         combo for combo, fixed in ring_precolorings(g)
         if reference_first(adj, fixed) is not None
     )
+
+
+# ---------------------------------------------------------------------------
+# the ring relation by the unreduced frontier sweep
+# ---------------------------------------------------------------------------
+
+
+def reference_sweep_members(g: EmbeddedGraph) -> tuple[frozenset, int]:
+    """(members over the sorted ring vertices, widest state) of the
+    library's former relation sweep, which keeps every frontier coloring
+    apart from its color renamings.
+
+    The vertices are placed in the library's order: ring 1 by id, kept
+    live, then BFS layers from it, each by id, the other rings staying
+    live to the end.  Each frontier coloring maps to the bitmask of the
+    ring-1 colorings that reach it.
+    """
+    adj = g.rotations
+    ring1 = sorted(g.rings[0])
+    order, seen, layer = [], set(ring1), ring1
+    while layer:
+        order += sorted(layer)
+        layer = {u for v in layer for u in adj[v]} - seen
+        seen |= layer
+    stay = set().union(*g.rings[1:])
+    left = [len(adj[v]) for v in range(len(adj))]  # unplaced neighbours
+    live: list[int] = []
+    state: dict[tuple, int] = {(): 0}
+    starts: list[tuple] = []
+    widest = 0
+    for step, v in enumerate(order):
+        if step == len(ring1):  # ring 1 placed: tag each of its colorings
+            starts = list(state)
+            state = {s: 1 << i for i, s in enumerate(starts)}
+        for u in adj[v]:
+            left[u] -= 1
+        keep = [
+            i for i, u in enumerate(live) if left[u] or u in stay or step < len(ring1)
+        ]
+        stays = left[v] > 0 or v in stay or step < len(ring1)
+        near = [i for i, u in enumerate(live) if u in adj[v]]
+        grown: dict[tuple, int] = {}
+        for key, mask in state.items():
+            used = {key[i] for i in near}
+            base = tuple(key[i] for i in keep)
+            for c in COLORS:
+                if c not in used:
+                    k = base + (c,) if stays else base
+                    grown[k] = grown.get(k, 0) | mask
+        live = [live[i] for i in keep] + [v] * stays
+        state = grown
+        widest = max(widest, len(state))
+    if len(order) == len(ring1):
+        starts = list(state)
+        state = {s: 1 << i for i, s in enumerate(starts)}
+    at = {v: i for i, v in enumerate(live)}
+    domain = sorted(g.ring_vertices)
+    members = set()
+    for key, mask in state.items():
+        for i, s in enumerate(starts):
+            if mask >> i & 1:
+                col = dict(zip(ring1, s))
+                col.update((v, key[at[v]]) for v in live)
+                members.add(tuple(col[v] for v in domain))
+    return frozenset(members), widest
 
 
 # ---------------------------------------------------------------------------

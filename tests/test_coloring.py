@@ -5,14 +5,17 @@ from __future__ import annotations
 import random
 import time
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cylcolor import coloring
 from cylcolor.coloring import (
     Precoloring,
+    blocked_precolorings,
     count_colorings,
     dominates,
     dominates_under,
@@ -21,7 +24,7 @@ from cylcolor.coloring import (
     ring_precolorings,
     _ring_signature,
 )
-from cylcolor.embedding import EmbeddedGraph, relabel
+from cylcolor.embedding import EmbeddedGraph, parse_emg_stream, relabel
 from cylcolor.errors import ImproperPrecoloring, NoRings, RingMismatch
 from cylcolor.families import (
     cylinder_grid,
@@ -40,6 +43,7 @@ from oracles import (
     brute_ring_members,
     reference_count,
     reference_first,
+    reference_sweep_members,
 )
 
 
@@ -324,6 +328,61 @@ def test_thomas_walls_chains_match_reference_search():
     for n in range(5, 14):
         g, _ = reduced_thomas_walls(n)
         assert extendable_set(g).members == _direct(g), n
+
+
+def _is_normal(key: tuple[int, ...]) -> bool:
+    """Are the colors of key numbered 1, 2, 3 in order of first appearance?"""
+    return list(dict.fromkeys(key)) == list(range(1, len(set(key)) + 1))
+
+
+def test_sweep_matches_the_unreduced_reference():
+    # the sweep keeps one frontier coloring per orbit of the color
+    # renamings; the former sweep kept them all, at sizes brute force
+    # cannot reach
+    graphs = [(f"tube{k}", fixtures.penta_tube(k)) for k in range(1, 10)]
+    graphs += [(f"T'{n}", reduced_thomas_walls(n)[0]) for n in range(2, 41)]
+    graphs += [(f"C{a}xP{b}", cylinder_grid(a, b)) for a in range(3, 7) for b in range(3, 11)]
+    frontier = coloring._frontier
+    for name, g in graphs:
+        widths = []
+
+        def watched(adj, order, live, state, stay, fixed, join, settle):
+            def checked(grown):
+                out = settle(grown)
+                assert all(_is_normal(key) for key in out), name
+                widths.append(len(out))
+                return out
+
+            return frontier(adj, order, live, state, stay, fixed, join, checked)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coloring, "_frontier", watched)
+            got = extendable_set(g).members
+        want, widest = reference_sweep_members(g)
+        assert got == want, name
+        if name.startswith("tube"):
+            # so that the reduction cannot silently switch off
+            assert 3 * max(widths) <= widest, (name, max(widths), widest)
+
+
+def _blocked_corpus() -> list[tuple[str, EmbeddedGraph]]:
+    out = [(f"hexdisk-{i}", d) for i, d in enumerate(generate_hexagon_disks(3))]
+    out += [(f"patch-{i}", p) for i, p in enumerate(generate_patches(3))]
+    out += [(f"C{a}xP{b}", cylinder_grid(a, b)) for a in range(3, 6) for b in range(2, 5)]
+    out += [(f"T'{n}", reduced_thomas_walls(n)[0]) for n in range(1, 8)]
+    out += fixtures.cylinder_corpus()
+    emg = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "quad33_le10.emg"
+    quads = parse_emg_stream(emg.read_text(encoding="ascii"))[::7]
+    return out + [(f"quad33-{7 * i}", q) for i, q in enumerate(quads)]
+
+
+def test_blocked_precolorings_are_the_ones_that_do_not_extend():
+    # one ring (the final frontier is empty, so every renaming fixes it),
+    # chords, shared ring vertices, and two rings far apart
+    for name, g in _blocked_corpus():
+        members = _ref_members(g.rotations, g)
+        want = [fixed for combo, fixed in ring_precolorings(g) if combo not in members]
+        assert list(blocked_precolorings(g)) == want, name
 
 
 def _by_ring_position(g: EmbeddedGraph, members) -> frozenset:
