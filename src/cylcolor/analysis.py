@@ -87,9 +87,11 @@ def is_critical(g: EmbeddedGraph, guard: int = 22) -> CriticalityReport:
     vertex of degree at most two, or an edge at one, is a witness without
     a search: that vertex always has a free color.  Otherwise only the
     precolorings blocked in g are re-tested after a deletion, up to the
-    first one that extends, and a deletion that an earlier coloring
-    already proved felt, by recoloring a vertex on all its monochromatic
-    edges, is skipped (``surgery._DeletionTest``).
+    first one that extends.  Each coloring found starts a walk that
+    recolors one non-ring vertex at a time through colorings proper
+    except on one edge; every such coloring proves that edge and its
+    non-ring ends felt, and a deletion proved felt is skipped
+    (``surgery._DeletionTest``).
     """
     if not g.rings:
         raise NoRings("criticality is defined relative to rings")

@@ -34,9 +34,11 @@ re-tests single deletions with the kernel against those blocked
 precolorings (a deletion can only grow the extendable set), after two
 local rules (``surgery._DeletionTest``): deleting a non-ring vertex of
 degree at most two, or an edge at one, is never felt, since that vertex
-keeps a free color; and a coloring found for one deletion proves felt
-every deletion that meets all monochromatic edges left after
-recoloring a non-ring vertex on all of them, which is then not searched.
+keeps a free color; and a coloring that extends a blocked precoloring
+and is proper except on one edge proves that edge and its non-ring ends
+felt.  Each coloring a search finds starts walks over such colorings,
+recoloring one non-ring vertex at a time, and a deletion they prove
+felt is not searched.
 """
 
 from __future__ import annotations

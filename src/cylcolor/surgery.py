@@ -481,11 +481,14 @@ class _DeletionTest:
       of the rest leaves x a free color, so it extends to the whole
       graph; this is the ring version of Dirac's bound, minimum degree
       at least k - 1 in a k-critical graph.
-    - Certificate rule: a coloring found for one deletion proves others
-      felt (see ``_certify``).  Such a proof holds in every later
-      subgraph, since accepted deletions keep g's set and so a blocked
-      precoloring stays blocked; a proven deletion is not searched
-      again.
+    - Certificate rule: a coloring that extends a blocked precoloring
+      and is proper except on one edge ab (a single-defect coloring)
+      proves felt the edge ab and each non-ring end of it.  Each
+      coloring a search finds starts a walk over such colorings (see
+      ``_walk``).  A proof holds in every later subgraph, since accepted
+      deletions keep g's set, so a blocked precoloring stays blocked and
+      the coloring stays proper except on ab; a proven deletion is not
+      searched again.
 
     Any other deletion is searched: the precolorings blocked in g are
     drawn lazily from the sweep, in lexicographic order, kept for the
@@ -524,34 +527,63 @@ class _DeletionTest:
             col = _solve_first(adj, fixed)
             if col is not None:
                 self.felt.add(x)
-                self._certify(rows, col, ends)
+                self._walk(rows, col, ends)
                 return False
         return True
 
-    def _certify(self, rows, col: dict[int, int], ends: Sequence[int]) -> None:
-        """Record every deletion that the coloring ``col`` of the graph
-        minus one vertex or edge with ends ``ends`` proves felt.
+    def _walk(self, rows, found: dict[int, int], ends: Sequence[int]) -> None:
+        """Record every deletion proved felt by the single-defect
+        colorings that the coloring ``found``, of the graph minus one
+        vertex or edge with ends ``ends``, leads to.
 
-        ``col`` extends a blocked precoloring, so it is not proper on the
-        whole graph, and each of its monochromatic edges meets ``ends``.
-        Recolor, in each of the three colors, each non-ring vertex w that
-        lies on all of them: the monochromatic edges left are those from
-        w to neighbours of w's new color.  Deleting their common non-ring
-        vertex (w, and the other end too when exactly one is left), or
-        that one edge, leaves a proper coloring that extends the blocked
-        precoloring.
+        ``found`` extends a blocked precoloring, so it is not proper on
+        the whole graph, and each of its monochromatic edges meets
+        ``ends``.  Each non-ring vertex w on all of them is felt, and one
+        walk starts from each color c: when exactly one neighbour u of w
+        has color c, recoloring w to c gives a single-defect coloring on
+        wu.  From a single-defect coloring on wu reached by recoloring w,
+        the walk recolors u the same way, unless u is on a ring
+        (recoloring w again only gives colorings already met).  Each walk
+        goes depth first and takes each defect edge the first time it
+        meets it, with its own set of edges met: a set shared between
+        walks, or with ``felt``, cuts off colorings that lead on.  Ring
+        vertices keep their colors, so every coloring met extends the
+        blocked precoloring.  A coloring is a list, copied only when the
+        walk takes a new defect edge.
         """
         ring_vs, felt = self.ring_vs, self.felt
-        mono = [{w, u} for w in ends for u in rows[w] if col[u] == col[w]]
-        for w in set.intersection(*mono) - ring_vs:
+
+        def step(col: list[int], w: int, colors, seen: set, todo: list) -> None:
+            # recolor w in each of ``colors``: one pass over w's row
+            count = [0, 0, 0, 0]  # w's neighbours of each color
+            last = [0, 0, 0, 0]  # the last of them in w's row
+            for u in rows[w]:
+                c = col[u]
+                count[c] += 1
+                last[c] = u
+            for c in colors:
+                if count[c] == 1:
+                    u = last[c]
+                    e = frozenset((w, u))
+                    if e not in seen:
+                        seen.add(e)
+                        felt.add(e)
+                        if u not in ring_vs:
+                            felt.add(u)
+                            moved = col.copy()
+                            moved[w] = c
+                            todo.append((moved, u))
+
+        start = list(found.values())
+        mono = [{w, u} for w in ends for u in rows[w] if start[u] == start[w]]
+        for w in sorted(set.intersection(*mono) - ring_vs):
             felt.add(w)
             for c in COLORS:
-                hits = [u for u in rows[w] if col[u] == c]
-                if len(hits) == 1:
-                    u = hits[0]
-                    felt.add(frozenset((w, u)))
-                    if u not in ring_vs:
-                        felt.add(u)
+                seen: set[frozenset[int]] = set()  # this walk's defect edges
+                todo: list[tuple[list[int], int]] = []  # (coloring, u to recolor)
+                step(start, w, (c,), seen, todo)
+                while todo:
+                    step(*todo.pop(), COLORS, seen, todo)
 
 
 def maximal_critical_subgraph(g: EmbeddedGraph, guard: int = 22) -> EmbeddedGraph:
@@ -568,8 +600,9 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
     subgraph, or an edge at one, passes the deletion test without a
     search (the graph must still stay connected).  Any other
     deletion is tested against the precolorings blocked in g, drawn
-    lazily from the sweep; a deletion that an earlier coloring already
-    proved felt (see ``_DeletionTest``) is not searched again.
+    lazily from the sweep; a deletion proved felt by a single-defect
+    coloring met on the walk from an earlier search's coloring (see
+    ``_DeletionTest``) is not searched again.
     """
     if g.n > guard:
         raise TooLarge(f"{g.n} vertices exceeds guard {guard}")

@@ -519,21 +519,63 @@ def test_certified_felt_deletions_are_felt():
 
 def _proven_felt(rows, x, col, ring_vs) -> set:
     """Deletions that a coloring ``col`` of the graph ``rows`` minus ``x``
-    proves felt: for each non-ring vertex on every monochromatic edge,
-    recolored in each color, those that remove every monochromatic edge
-    left."""
+    proves felt, by brute force: each non-ring vertex w on every
+    monochromatic edge, and the edge and non-ring ends of every
+    single-defect coloring (monochromatic on exactly one edge) that the
+    walk meets.  One walk starts from each such w recolored in each
+    color; from a single-defect coloring on wu reached by recoloring w
+    it tries u in each color, depth first, and takes each defect edge
+    the first time it is met.  The monochromatic edges are recomputed
+    from scratch after each recoloring."""
     edges = {frozenset((v, u)) for v, row in rows.items() for u in row}
 
     def mono(colors):
         return [e for e in edges if len({colors[v] for v in e}) == 1]
 
     out = set()
+
+    def reach(colors, v, seen, todo):
+        # ``colors`` has v just recolored
+        left = mono(colors)
+        assert left, "a blocked precoloring extends to the whole graph"
+        if len(left) == 1 and left[0] not in seen:
+            seen.add(left[0])
+            out.add(left[0])
+            (u,) = left[0] - {v}
+            if u not in ring_vs:
+                out.add(u)
+                todo.append((colors, u))
+
     first = mono(col)
     assert first, "a blocked precoloring extends to the whole graph"
-    for w in set.intersection(*map(set, first)) - ring_vs:
+    for w in sorted(set.intersection(*map(set, first)) - ring_vs):
+        out.add(w)
+        for c in (1, 2, 3):
+            seen, todo = set(), []
+            reach({**col, w: c}, w, seen, todo)
+            while todo:
+                colors, u = todo.pop()
+                for k in (1, 2, 3):
+                    reach({**colors, u: k}, u, seen, todo)
+    return out
+
+
+def _one_step_felt(rows, col, ring_vs) -> set:
+    """Deletions that a coloring ``col`` of the graph ``rows`` minus one
+    vertex or edge proves felt after at most one recoloring: for each
+    non-ring vertex on every monochromatic edge, recolored in each color,
+    the non-ring vertices on every monochromatic edge left, and that edge
+    when one is left.  Unlike the walk's, this set does not depend on the
+    order of any traversal."""
+    edges = {frozenset((v, u)) for v, row in rows.items() for u in row}
+
+    def mono(colors):
+        return [e for e in edges if len({colors[v] for v in e}) == 1]
+
+    out = set()
+    for w in set.intersection(*map(set, mono(col))) - ring_vs:
         for c in (1, 2, 3):
             left = mono({**col, w: c})
-            assert left, "a blocked precoloring extends to the whole graph"
             out.update(v for v in set.intersection(*map(set, left)) if v not in ring_vs)
             if len(left) == 1:
                 out.add(left[0])
@@ -547,6 +589,8 @@ def test_no_deletion_is_searched_twice(seed, extract):
     g = _relabeled(graphs[seed % len(graphs)], seed)
     searches = []  # one per adjacency built: the deletion, the graph, a coloring found
     build, solve = surgery._deletion_adjacency, surgery._solve_first
+    walk = surgery._DeletionTest._walk
+    walks = 0
 
     def adjacency(rows, edge=None, vertex=None):
         adj = build(rows, edge=edge, vertex=vertex)
@@ -561,9 +605,18 @@ def test_no_deletion_is_searched_twice(seed, extract):
         searches[-1]["col"] = searches[-1]["col"] or col
         return col
 
+    def walking(self, rows, found, ends):
+        # whatever the walk's order, it proves at least what one
+        # recoloring of the coloring found proves
+        nonlocal walks
+        walk(self, rows, found, ends)
+        assert _one_step_felt(rows, found, self.ring_vs) <= self.felt
+        walks += 1
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surgery, "_deletion_adjacency", adjacency)
         mp.setattr(surgery, "_solve_first", kernel)
+        mp.setattr(surgery._DeletionTest, "_walk", walking)
         try:
             _maximal_critical_mapped(g, guard=30) if extract else is_critical(g, guard=30)
         except NothingToExtract:
@@ -575,6 +628,74 @@ def test_no_deletion_is_searched_twice(seed, extract):
         proven.add(s["x"])
         if s["col"] is not None:
             proven |= _proven_felt(s["rows"], s["x"], s["col"], g.ring_vertices)
+    assert walks == sum(s["col"] is not None for s in searches)
+
+
+def test_walk_certificates_on_critical_graphs_are_felt():
+    # the certificate corpus is chosen for its non-critical members; on a
+    # critical graph one coloring's walk proves long chains of deletions
+    # felt.  Each is checked, in the rows where it was proved, against the
+    # oracle's set of the graph tested.  Every deletion of a critical
+    # graph is felt, so the check bites in the cutting step, whose
+    # extraction shrinks an identified tube's rows
+    init, walk = surgery._DeletionTest.__init__, surgery._DeletionTest._walk
+    proved = {}  # id of the graph tested -> (graph, {(rows, deletion)})
+
+    def starting(self, g):
+        init(self, g)
+        self.tested = g
+
+    def recording(self, rows, found, ends):
+        before = set(self.felt)
+        walk(self, rows, found, ends)
+        frozen = tuple((v, tuple(row)) for v, row in rows.items())
+        tested = proved.setdefault(id(self.tested), (self.tested, set()))[1]
+        tested.update((frozen, x) for x in self.felt - before)
+
+    graphs = [reduced_thomas_walls(n)[0] for n in range(3, 7)]
+    graphs += [fixtures.penta_tube(k) for k in (3, 4)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surgery._DeletionTest, "__init__", starting)
+        mp.setattr(surgery._DeletionTest, "_walk", recording)
+        for i, g in enumerate(graphs):
+            h = _relabeled(g, f"walk/{i}")
+            assert is_critical(h, guard=40).is_critical, i
+            _maximal_critical_mapped(h, guard=40)
+        cut_step(_relabeled(fixtures.penta_tube(6), "walk/cut"), 3, guard=40)
+    checked = shrunk = 0
+    for h, tested in proved.values():
+        base = _ref_members(h.rotations, h)
+        for rows, x in tested:
+            d = {"edge": tuple(x)} if isinstance(x, frozenset) else {"vertex": x}
+            assert _ref_members(_without(dict(rows), **d), h) != base, (h.n, x)
+            shrunk += dict(rows) != dict(enumerate(h.rotations))
+        checked += len(tested)
+    assert checked > 400 and shrunk > 10, (checked, shrunk)  # 497 and 13
+
+
+def test_walk_keeps_kernel_searches_few():
+    # measured with the walk, in the fixture labelings; proving felt only
+    # the deletions one recoloring reaches took 33, 14, 26 and 129
+    solve = surgery._solve_first
+    calls = 0
+
+    def counting(adj, fixed):
+        nonlocal calls
+        calls += 1
+        return solve(adj, fixed)
+
+    t10, t18 = (reduced_thomas_walls(n)[0] for n in (10, 18))
+    for run, bound in (
+        (lambda: is_critical(fixtures.penta_tube(6), guard=40), 6),
+        (lambda: is_critical(t10, guard=t10.n), 2),  # past the default guard
+        (lambda: is_critical(t18, guard=t18.n), 2),
+        (lambda: cut_step(fixtures.penta_tube(6), 3, guard=40), 25),
+    ):
+        calls = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surgery, "_solve_first", counting)
+            run()
+        assert calls <= bound, bound
 
 
 def _low_degree_corpus() -> list[EmbeddedGraph]:
