@@ -21,24 +21,24 @@ layer, not with the number of colorings or of ring precolorings, so
 long chains, tubes and grids stay linear in their length.  Renaming the
 three colors maps the ring relation onto itself, so its sweep keeps one
 frontier coloring per orbit of the six renamings, in first-occurrence
-normal form, with its bitmask renamed alike; at the end each bitmask is
-closed under the renamings that fix its frontier coloring.  Counting
-keeps every frontier coloring, since fixed colors break the symmetry.
-The relation's final state is read by cheap readers: ``extendable_set``
-and domination read the member tuples through one index template under
-each renaming, and ``blocked_precolorings`` yields the precolorings
-that do not extend, lazily and in lexicographic order, renaming each to
-its orbit's normal form, testing it by one bit and building an
-assignment only for a blocked one that is drawn.  Criticality
-re-tests single deletions with the kernel against those blocked
-precolorings (a deletion can only grow the extendable set), after two
-local rules (``surgery._DeletionTest``): deleting a non-ring vertex of
-degree at most two, or an edge at one, is never felt, since that vertex
-keeps a free color; and a coloring that extends a blocked precoloring
-and is proper except on one edge proves that edge and its non-ring ends
-felt.  Each coloring a search finds starts walks over such colorings,
-recoloring one non-ring vertex at a time, and a deletion they prove
-felt is not searched.
+normal form, with its bitmask renamed alike, and expands each orbit
+only at the end: the sweep hands back the plain relation, each coloring
+of the final frontier with the bitmask of the ring-1 colorings that
+reach it.  Counting keeps every frontier coloring, since fixed colors
+break the symmetry.  The relation is read by cheap readers:
+``extendable_set`` and domination read the member tuples through one
+index template, and ``blocked_precolorings`` yields the precolorings
+that do not extend, lazily and in lexicographic order, testing each by
+one lookup and one bit and building an assignment only for a blocked
+one that is drawn.  Criticality re-tests single deletions with the
+kernel against those blocked precolorings (a deletion can only grow the
+extendable set), after two local rules (``surgery._DeletionTest``):
+deleting a non-ring vertex of degree at most two, or an edge at one, is
+never felt, since that vertex keeps a free color; and a coloring that
+extends a blocked precoloring and is proper except on one edge proves
+that edge and its non-ring ends felt.  Each coloring a search finds
+starts walks over such colorings, recoloring one non-ring vertex at a
+time, and a deletion they prove felt is not searched.
 """
 
 from __future__ import annotations
@@ -306,19 +306,13 @@ def _frontier(adj, order, live, state, stay, fixed: Mapping[int, int], join, set
 # The six renamings of the colors, identity first: _PERMS[i][c] is the
 # image of color c, and _RENAME[i] is the same map as a bytes.translate
 # table.  _COMPOSE[i][j] is the index of renaming by _PERMS[j], then by
-# _PERMS[i].  _FIXING[m] lists the renamings other than the identity
-# that fix the colors 1..m: the stabilizer of a tuple in normal form
-# whose largest color is m.  _OPENING sends the first two colors of a
-# tuple in order of appearance (fewer if it has fewer) to the renaming
-# that numbers them 1, 2 and the colors it lacks upwards in order.
+# _PERMS[i].  _OPENING sends the first two colors of a tuple in order of
+# appearance (fewer if it has fewer) to the renaming that numbers them
+# 1, 2 and the colors it lacks upwards in order.
 _PERMS = tuple((0,) + p for p in permutations(COLORS))
 _RENAME = tuple(bytes(p) + bytes(range(4, 256)) for p in _PERMS)
 _COMPOSE = tuple(
     tuple(_PERMS.index(tuple(p[c] for c in q)) for q in _PERMS) for p in _PERMS
-)
-_FIXING = tuple(
-    tuple(i for i, p in enumerate(_PERMS) if i and p[: m + 1] == _PERMS[0][: m + 1])
-    for m in range(4)
 )
 _OPENING = {  # built from the last renaming down, so the first one wins
     bytes(sorted(COLORS, key=p.__getitem__)[:m]): i
@@ -351,30 +345,25 @@ def _renamed(mask: int, i: int, ones: int) -> int:
 
 @dataclass(frozen=True)
 class _Swept:
-    """The final state of one frontier sweep of a graph, one frontier
-    coloring per orbit of the color renamings.
+    """The ring relation of a graph, as one frontier sweep leaves it.
 
     ``starts`` lists the colorings of ring 1 (tuples over its sorted
     vertices) orbit by orbit: ``starts[6 * k + j]`` is the k-th one in
-    normal form (see ``_normal``) renamed by ``_PERMS[j]``, so renaming
-    by ``_PERMS[i]`` sends it to ``starts[6 * k + _COMPOSE[i][j]]``, and
-    ``ones`` has the bits 6 * k.  ``state`` maps each coloring of
-    ``live`` (the vertices of the rings after the first, and possibly
-    some of ring 1) in normal form to the bitmask of the starts that
-    reach it.  Each mask is closed under the renamings that fix its key,
-    so a pair (start, key) extends exactly when its image under the
-    renaming that puts the key in normal form is in the state.
+    normal form (see ``_normal``) renamed by ``_PERMS[j]``.
+    ``relation`` maps each coloring of ``live`` (the vertices of the
+    rings after the first, and possibly some of ring 1) to the bitmask
+    of the starts that extend together with it; a coloring that no start
+    reaches has no entry.
     """
 
     ring1: tuple[int, ...]
     starts: list[tuple[int, ...]]
-    ones: int
     live: tuple[int, ...]
-    state: dict[tuple[int, ...], int]
+    relation: dict[tuple[int, ...], int]
 
 
 def _sweep(g: EmbeddedGraph) -> _Swept:
-    """Sweep g from ring 1 and return the final state.
+    """Sweep g from ring 1 and return the relation.
 
     Ring 1 is placed first, all of it kept live, which gives its
     colorings (proper on every edge among its vertices).  The other
@@ -387,10 +376,10 @@ def _sweep(g: EmbeddedGraph) -> _Swept:
     renamings: it starts from the ring-1 colorings in normal form, and
     after each placement renames every new key to its normal form and
     its mask by the same renaming (both memoized for this sweep).  The
-    pairs kept then meet every orbit of the pairs that extend.  A key
-    that some renaming fixes (one with at most one color) is reached by
-    the images of its pairs under that renaming too, so at the end each
-    mask is closed under its key's stabilizer.
+    pairs kept then meet every orbit of the pairs that extend, so the
+    relation is the union of the six renamings of the final state, each
+    key and its mask renamed alike.  A key that a renaming fixes collects
+    its images' bits by itself.
     """
     adj = g.rotations
     ring1 = sorted(g.rings[0]) if g.rings else []
@@ -421,33 +410,32 @@ def _sweep(g: EmbeddedGraph) -> _Swept:
     stay = set().union(*g.rings[1:])
     state = {s: 1 << 6 * k for k, s in enumerate(seeded)}
     live, state = _frontier(adj, order, ring1, state, stay, {}, or_, settle)
+    relation: dict[tuple[int, ...], int] = {}
     for key, mask in state.items():
-        for i in _FIXING[max(key, default=0)]:
-            state[key] |= _renamed(mask, i, ones)
-    return _Swept(tuple(ring1), starts, ones, tuple(live), state)
+        colors = bytes(key)
+        for i, r in enumerate(_RENAME):
+            k = tuple(colors.translate(r))
+            relation[k] = relation.get(k, 0) | (_renamed(mask, i, ones) if i else mask)
+    return _Swept(tuple(ring1), starts, tuple(live), relation)
 
 
 def _members(sw: _Swept, order: Sequence[int]) -> frozenset[tuple[int, ...]]:
     """The extending ring precolorings, as color tuples over ``order``
     (the ring vertices).
 
-    Each member is read from a start followed by a key, both renamed by
-    one of the six renamings, through one index template.
+    Each member is read from a start followed by a frontier coloring
+    through one index template.
     """
     where = {v: i for i, v in enumerate(sw.ring1)}
     where.update((v, len(sw.ring1) + i) for i, v in enumerate(sw.live))
     fill = _picker([where[v] for v in order])
-    starts, ones = sw.starts, sw.ones
+    starts = sw.starts
     members = set()
-    for key, mask in sw.state.items():
-        colors = bytes(key)
-        for i, rename in enumerate(_RENAME):
-            renamed = tuple(colors.translate(rename))
-            m = _renamed(mask, i, ones) if i else mask
-            while m:
-                low = m & -m
-                members.add(fill(starts[low.bit_length() - 1] + renamed))
-                m ^= low
+    for key, mask in sw.relation.items():
+        while mask:
+            low = mask & -mask
+            members.add(fill(starts[low.bit_length() - 1] + key))
+            mask ^= low
     return frozenset(members)
 
 
@@ -455,11 +443,9 @@ def blocked_precolorings(g: EmbeddedGraph) -> Iterator[dict[int, int]]:
     """The ring precolorings of g that do not extend, lazily, in the
     lexicographic order of ``ring_precolorings``.
 
-    The starts that reach a coloring of the final frontier are those of
-    the state's key for its normal form, renamed back; they are read
-    once per frontier coloring met.  Each precoloring is then tested by
-    the bit of its ring-1 part, and an assignment is built only for a
-    blocked one, when it is drawn.
+    Each precoloring is tested by one lookup of its frontier part in the
+    relation and the bit of its ring-1 part, and an assignment is built
+    only for a blocked one, when it is drawn.
     """
     sw = _sweep(g)
     domain = tuple(sorted(g.ring_vertices))
@@ -467,17 +453,11 @@ def blocked_precolorings(g: EmbeddedGraph) -> Iterator[dict[int, int]]:
     on_ring1 = _picker([pos[v] for v in sw.ring1])
     on_live = _picker([pos[v] for v in sw.live])
     index = {s: j for j, s in enumerate(sw.starts)}
-    reach: dict[tuple[int, ...], int] = {}
+    relation = sw.relation
     for combo in _ring_combos(domain, g.rings):
-        live = on_live(combo)
-        mask = reach.get(live)
-        if mask is None:
-            key, i = _normal(live)
-            back = _COMPOSE[i].index(0)
-            mask = reach[live] = _renamed(sw.state.get(key, 0), back, sw.ones)
         # a ring-1 coloring improper on a chord has no bit and never extends
         j = index.get(on_ring1(combo))
-        if j is None or not mask >> j & 1:
+        if j is None or not relation.get(on_live(combo), 0) >> j & 1:
             yield dict(zip(domain, combo))
 
 

@@ -21,7 +21,6 @@ from .embedding import (
     bfs_layers,
     canon_cycle,
     compress_rotations,
-    distance,
     enumerate_short_cycles,
     is_contractible,
     is_tame,
@@ -673,10 +672,9 @@ def _hole1_side(g: EmbeddedGraph, cyc: Cycle) -> frozenset[int]:
 def _chain_candidates(g: EmbeddedGraph):
     """The non-contractible (<= 4)-cycles, and the faces on ring 1's side of each.
 
-    Contractibility is read by crossing parity; only the non-contractible
-    cycles have their faces split.
+    Only the non-contractible cycles have their faces split.
     """
-    refs = [CycleRef(c, False) for c in _cycles_up_to(g, 4) if not is_contractible(g, c)]
+    refs = enumerate_short_cycles(g, 4, only_noncontractible=True)
     return refs, {r.vertices: _hole1_side(g, r.vertices) for r in refs}
 
 
@@ -864,111 +862,130 @@ def cut_step(g: EmbeddedGraph, d0: int, guard: int = 22, audit: bool = True) -> 
     return out
 
 
-def _extra_short_cycles(g: EmbeddedGraph) -> list[CycleRef]:
-    """The non-contractible cycles of length <= 4 other than the rings."""
-    ring_canons = {canon_cycle(r) for r in g.rings}
-    return [
-        r
-        for r in enumerate_short_cycles(g, 4, only_noncontractible=True)
-        if canon_cycle(r.vertices) not in ring_canons
-    ]
+def _ring_distances(g: EmbeddedGraph) -> list[list[int]]:
+    """Each vertex's distance from each ring, one list by id per ring."""
+    out = []
+    for ring in g.rings:
+        dist = [0] * g.n  # the graph is connected
+        for k, layer in enumerate(bfs_layers(g.rotations, ring)):
+            for v in layer:
+                dist[v] = k
+        out.append(dist)
+    return out
+
+
+def _identified_distance(d1, d2, d: int, a: int, b: int) -> int:
+    """The ring distance after identifying a with b in a graph at ring
+    distance d, its vertices at d1 and d2 from the rings: a shortest
+    path enters the merged vertex once."""
+    return min(d, d1[a] + d2[b], d1[b] + d2[a])
+
+
+def _short_cycles(g: EmbeddedGraph) -> tuple[list[CycleRef], list[CycleRef]]:
+    """The (<= 4)-cycles, and of them the non-contractible ones but the rings."""
+    cycles = enumerate_short_cycles(g, 4)
+    rings = {canon_cycle(r) for r in g.rings}
+    return cycles, [c for c in cycles if not (c.contractible or canon_cycle(c.vertices) in rings)]
 
 
 def _cut_step_mapped(g: EmbeddedGraph, d0: int, guard: int, audit: bool):
-    if len(g.rings) != 2 or any(len(r) > 4 for r in g.rings):
-        raise PreconditionFailed("rings: need a cylinder with rings of length <= 4")
+    """The cutting step and its old-to-new id map.
+
+    A loop over the graphs it steps from, g first.  Each is laid out once,
+    by one scan of its (<= 4)-cycles and one BFS from each ring, which
+    check its preconditions in order and feed ``_cut_route``.  A ladder
+    result, or an identified one with a new short non-contractible cycle,
+    ends the loop; the loop steps from any other.  The audit compares
+    the result with g.
+    """
     from .analysis import is_critical  # deferred: analysis imports this module
 
-    if not is_critical(g, guard=guard).is_critical:
-        raise PreconditionFailed("critical: input graph is not critical")
-    triangles = enumerate_short_cycles(g, 3)
-    if any(t.contractible for t in triangles):
-        raise PreconditionFailed("contractible-triangle-free")
-    extra = _extra_short_cycles(g)
-    if extra:
-        raise PreconditionFailed(
-            f"noncontractible-cycles-are-rings: extra cycle {extra[0].vertices}"
-        )
-    d = distance(g, g.rings[0], g.rings[1])
-    if d0 < 3 or d < d0:
-        raise PreconditionFailed(f"distance: d({d}) < d0({d0})")
-
-    result = _cut_route(g, d, d0, guard)
-    if result is None:
-        raise PreconditionFailed("no identification or ladder step applies")
-    out, total = result
+    cur, total, scan, d_in = g, {v: v for v in range(g.n)}, None, None
+    while True:
+        if len(cur.rings) != 2 or any(len(r) > 4 for r in cur.rings):
+            raise PreconditionFailed("rings: need a cylinder with rings of length <= 4")
+        if not is_critical(cur, guard=guard).is_critical:
+            raise PreconditionFailed("critical: input graph is not critical")
+        cycles, extra = scan or _short_cycles(cur)
+        if any(len(c.vertices) == 3 and c.contractible for c in cycles):
+            raise PreconditionFailed("contractible-triangle-free")
+        if extra:
+            raise PreconditionFailed(
+                f"noncontractible-cycles-are-rings: extra cycle {extra[0].vertices}"
+            )
+        d1, d2 = _ring_distances(cur)
+        d = min(d1[v] for v in cur.rings[1])
+        d_in = d if d_in is None else d_in
+        if d0 < 3 or d < d0:
+            raise PreconditionFailed(f"distance: d({d}) < d0({d0})")
+        step = _cut_route(cur, d1, d2, d, guard)
+        if step is None:
+            raise PreconditionFailed("no identification or ladder step applies")
+        cur, moved, identified = step
+        total = {v: moved[w] for v, w in total.items() if w in moved}
+        scan = _short_cycles(cur) if identified else None
+        if scan is None or scan[1]:
+            break
     if audit:
-        _audit_cut(g, out, total, d)
-    return out, total
+        _audit_cut(g, cur, total, d_in, (scan or _short_cycles(cur))[1])
+    return cur, total
 
 
-def _far_from_rings(g: EmbeddedGraph) -> set[int]:
-    """The vertices at distance at least 3 from every ring vertex."""
-    layers = list(bfs_layers(g.rotations, g.ring_vertices))
-    return {v for layer in layers[3:] for v in layer}
+def _cut_route(g: EmbeddedGraph, d1, d2, d: int, guard: int):
+    """One step from g at ring distance d, its vertices at d1 and d2 from
+    the rings: the graph, the old-to-new id map and whether it was
+    identified, or None when no route applies.
 
-
-def _cut_route(g: EmbeddedGraph, d: int, d0: int, guard: int):
-    """The identification route, else the ladder route, on g at ring
-    distance d; None when neither applies."""
+    The identification route takes, face by face, the first diagonal of
+    an internal 4-face at distance >= 3 from the rings and next to no
+    longer face whose identification keeps d and builds (only those that
+    keep d are built), and returns its maximal critical subgraph, with a
+    triangle pair collapsed when it is not tame.  The ladder route
+    contracts the staircase of a quadrangulated band.
+    """
     fl = g.faces
-    faces4 = []
     facelen_at = [0] * g.n
     for i, f in enumerate(fl.faces):
-        if i in fl.ring_faces:
-            continue
-        for v in f:
-            facelen_at[v] = max(facelen_at[v], len(f))
-    far = _far_from_rings(g)
-    for i, f in enumerate(fl.faces):
-        if i in fl.ring_faces or len(f) != 4:
-            continue
-        if any(facelen_at[v] > 4 for v in f) or not far.issuperset(f):
-            continue
-        faces4.append(f)
+        if i not in fl.ring_faces:
+            for v in f:
+                facelen_at[v] = max(facelen_at[v], len(f))
+    faces4 = [
+        f
+        for i, f in enumerate(fl.faces)
+        if i not in fl.ring_faces
+        and len(f) == 4
+        and all(facelen_at[v] <= 4 and d1[v] >= 3 and d2[v] >= 3 for v in f)
+    ]
     faces4.sort(key=lambda f: tuple(sorted(f)))
-
     for f in faces4:
-        for pair in ((f[0], f[2]), (f[1], f[3])):
+        for a, b in ((f[0], f[2]), (f[1], f[3])):
+            if _identified_distance(d1, d2, d, a, b) < d:
+                continue
             try:
-                g1, m1 = _identify_mapped(g, f, pair)
+                g1, m1 = _identify_mapped(g, f, (a, b))
             except (MalformedRotation, DiagonalAdjacent, RingVertex):
                 continue
-            if distance(g1, g1.rings[0], g1.rings[1]) < d:
-                continue
             g2, m2 = _maximal_critical_mapped(g1, guard)
-            total = {v: m2[m1[v]] for v in range(g.n) if v in m1 and m1[v] in m2}
-            z1 = m2.get(m1[pair[0]])
-            if not is_tame(g2):
-                g3, m3 = _collapse_best_pair(g2, z1)
-                total = {v: m3[w] for v, w in total.items() if w in m3}
-            else:
-                g3 = g2
-            if _extra_short_cycles(g3):
-                return g3, total
-            # still critical with full distance: recurse on the smaller graph
-            sub = _cut_step_mapped(g3, d0, guard, audit=False)
-            out, mrec = sub
-            return out, {v: mrec[w] for v, w in total.items() if w in mrec}
+            moved = {v: m2[m1[v]] for v in range(g.n) if v in m1 and m1[v] in m2}
+            if is_tame(g2):
+                return g2, moved, True
+            g3, m3 = _collapse_best_pair(g2, m2.get(m1[a]))
+            return g3, {v: m3[w] for v, w in moved.items() if w in m3}, True
 
     # ladder route: find a quadrangulated band and contract the staircase
-    classes = distance_classes(g, 0)
-    dmax = len(classes) - 1
+    dmax = max(d1)
     for b in range(2, dmax - 2):
-        window = range(b - 1, min(b + 6, dmax) + 1)
-        if not all(all(facelen_at[v] <= 4 for v in classes[a]) for a in window):
+        top = min(b + 6, dmax)
+        if any(facelen_at[v] > 4 for v in range(g.n) if b - 1 <= d1[v] <= top):
             continue
         try:
-            qs = [shortest_layer_cycle(g, a) for a in range(b, min(b + 6, dmax))]
+            qs = [shortest_layer_cycle(g, a) for a in range(b, top)]
         except NoSuchCycle:
             continue
-        if len(qs) < 4:
-            continue
-        if any(len(q.vertices) < len(qs[0].vertices) for q in qs):
+        if len(qs) < 4 or any(len(q.vertices) < len(qs[0].vertices) for q in qs):
             continue
         try:
-            out, total = _ladder_contract_mapped(g, qs[2].vertices, qs[3].vertices)
-            return out, total
+            return (*_ladder_contract_mapped(g, qs[2].vertices, qs[3].vertices), False)
         except NotALadder:
             continue
     return None
@@ -995,7 +1012,7 @@ def _collapse_best_pair(g: EmbeddedGraph, z: Optional[int]):
     return best[1], best[2]
 
 
-def _audit_cut(g, out, total, d_before):
+def _audit_cut(g, out, total, d_before, extra):
     # looked up at each call, so a wrapper on either module attribute sees it
     from .coloring import dominates_under
     from .families import near_quad33_decomposition
@@ -1005,13 +1022,13 @@ def _audit_cut(g, out, total, d_before):
     ring_map = {v: total[v] for v in g.ring_vertices}
     if not dominates_under(out, g, ring_map):
         raise AuditFailed("result does not dominate the input")
-    d_after = distance(out, out.rings[0], out.rings[1])
+    d1, d2 = _ring_distances(out)
+    d_after = min(d1[v] for v in out.rings[1])
     if d_after < d_before - 2:
         raise AuditFailed(f"ring distance dropped from {d_before} to {d_after}")
-    extra = _extra_short_cycles(out)
     if not extra:
         raise AuditFailed("no new short non-contractible cycle")
-    zs = _far_from_rings(out)
+    zs = {v for v in range(out.n) if d1[v] >= 3 and d2[v] >= 3}
     for r in extra:
         zs &= set(r.vertices)
     if not zs:

@@ -274,7 +274,7 @@ def _traversal_corpus():
 def test_traversals_match_networkx():
     """Every reader of the one layered BFS against networkx."""
     from cylcolor.coloring import _sweep_order
-    from cylcolor.surgery import _connected_after, _far_from_rings, _separates, distance_classes
+    from cylcolor.surgery import _connected_after, _ring_distances, _separates, distance_classes
 
     for g in _traversal_corpus():
         G = to_nx(g)
@@ -285,7 +285,8 @@ def test_traversals_match_networkx():
 
         to_ring = nx.multi_source_dijkstra_path_length(G, ring_vs)
         assert all(distance(g, {v}, ring_vs) == d for v, d in to_ring.items())
-        assert _far_from_rings(g) == {v for v, d in to_ring.items() if d >= 3}
+        for ring, dist in zip(g.rings, _ring_distances(g)):
+            assert dict(enumerate(dist)) == nx.multi_source_dijkstra_path_length(G, set(ring))
         if len(g.rings) == 2:
             from_ring1 = nx.multi_source_dijkstra_path_length(G, set(ring1))
             want = min(from_ring1[v] for v in g.rings[1])

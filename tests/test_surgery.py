@@ -37,6 +37,7 @@ from cylcolor.errors import (
     CylColorError,
     DiagonalAdjacent,
     InvalidParameter,
+    MalformedRotation,
     NoSuchCycle,
     NotAFace,
     NotALadder,
@@ -890,3 +891,71 @@ def test_cut_step_tube_output_is_pinned(k):
     out = cut_step(fixtures.penta_tube(k), 3, guard=50)
     digest = hashlib.sha256(emit_emg(out).encode("ascii")).hexdigest()
     assert digest == _TUBE_CUT_DIGESTS[k]
+
+
+# one sha256 over the cutting step's result on every case below, computed
+# when the step still recursed through each graph it stepped from: the
+# EMG output and sorted id map of a step that applies, the exception
+# class and message of one that fails
+_RELABELED_CUTS_DIGEST = "050035c0b332d22f71f3a924f1f33ffcac33f24d7fd4693a66dd99cbff551c4f"
+
+
+@pytest.mark.slow
+def test_cut_step_on_relabeled_tubes_is_pinned():
+    digest = hashlib.sha256()
+    for k in range(3, 8):
+        tube = fixtures.penta_tube(k)
+        for seed in range(8):
+            g = _relabeled(tube, seed)
+            for d0 in (3, 4):
+                try:
+                    out, total = surgery._cut_step_mapped(g, d0, 50, True)
+                    record = emit_emg(out) + repr(sorted(total.items()))
+                except CylColorError as err:
+                    record = f"{type(err).__name__}: {err}"
+                digest.update(record.encode("ascii"))
+    assert digest.hexdigest() == _RELABELED_CUTS_DIGEST
+
+
+def test_identification_keeps_the_predicted_ring_distance():
+    # the cutting step builds only the identifications whose predicted
+    # ring distance keeps d; every diagonal that builds is measured
+    graphs = [_relabeled(fixtures.penta_tube(k), f"identify/{k}") for k in range(4, 8)]
+    graphs += [cylinder_grid(c, k) for c, k in ((4, 8), (5, 7), (6, 9))]
+    built = far = 0
+    for g in graphs:
+        d1, d2 = surgery._ring_distances(g)
+        d = distance(g, g.rings[0], g.rings[1])
+        for f in internal_quads(g):
+            for a, b in ((f[0], f[2]), (f[1], f[3])):
+                try:
+                    h, _ = surgery._identify_mapped(g, f, (a, b))
+                except (MalformedRotation, DiagonalAdjacent, RingVertex):
+                    continue
+                want = surgery._identified_distance(d1, d2, d, a, b)
+                assert distance(h, h.rings[0], h.rings[1]) == want, (g.n, f, a, b)
+                built += 1
+                far += min(d1[a], d2[a], d1[b], d2[b]) >= 3
+    assert far > 50 and built > far, (built, far)
+
+
+def test_cut_step_lays_out_each_graph_once():
+    # the step from penta_tube(6) identifies twice and scans three graphs:
+    # the input, the graph it steps from next, and the result
+    counts = {"_identify_mapped": 0, "enumerate_short_cycles": 0}
+
+    def counting(name):
+        real = getattr(surgery, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in counts:
+            mp.setattr(surgery, name, counting(name))
+        cut_step(fixtures.penta_tube(6), 3, guard=40)
+    assert counts["_identify_mapped"] <= 2, counts
+    assert counts["enumerate_short_cycles"] <= 3, counts
