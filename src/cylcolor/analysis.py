@@ -1,10 +1,12 @@
 """Decision procedures and audits over embedded graphs.
 
-Criticality by exhaustive deletion tests, the six-ring extension
-criterion, structural audits of critical graphs, face-length statistics,
-family recognition (structural for near quadrangulations, catalog lookup
-for framed patched chain graphs), and a census driver that runs the
-whole battery.
+The six-ring extension criterion, structural audits of critical graphs,
+face-length statistics, family recognition (structural for near
+quadrangulations, catalog lookup for framed patched chain graphs), and a
+census driver that runs the whole battery.  Criticality lives in
+``surgery``, with the deletion test it shares with the maximal-critical
+extraction; ``is_critical`` and ``CriticalityReport`` are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from .errors import (
     CatalogTooSmall,
     CylColorError,
     ImproperPrecoloring,
-    NoRings,
     NotSixRing,
-    TooLarge,
 )
 from .families import (
     FramedRecipe,
@@ -38,7 +38,7 @@ from .families import (
     near_quad33,
     near_quad33_decomposition,
 )
-from .surgery import _DeletionTest, chain_decompose
+from .surgery import CriticalityReport, chain_decompose, is_critical
 
 __all__ = [
     "CriticalityReport",
@@ -57,63 +57,6 @@ __all__ = [
     "VERDICT_NAMES",
     "census",
 ]
-
-
-# ---------------------------------------------------------------------------
-# criticality
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CriticalityReport:
-    """Verdict plus a deletable witness when the graph is not critical.
-
-    The witness is ("vertex", v) or ("edge", (u, v)) whose deletion keeps
-    the extendable set unchanged, or ("equals-rings", None) when the graph
-    is nothing but its rings.
-    """
-
-    is_critical: bool
-    witness: Optional[tuple[str, object]] = None
-
-
-def is_critical(g: EmbeddedGraph, guard: int = 22) -> CriticalityReport:
-    """True iff the graph exceeds its rings and every deletion is felt.
-
-    Checks every single non-ring vertex deletion and non-ring edge
-    deletion: each must strictly grow the set of extendable ring
-    precolorings.  Deletions are evaluated on the adjacency structure,
-    so intermediate subgraphs need not be valid embeddings.  A non-ring
-    vertex of degree at most two, or an edge at one, is a witness without
-    a search: that vertex always has a free color.  Otherwise only the
-    precolorings blocked in g are re-tested after a deletion, up to the
-    first one that extends.  Each coloring found starts a walk that
-    recolors one non-ring vertex at a time through colorings proper
-    except on one edge; every such coloring proves that edge and its
-    non-ring ends felt, and a deletion proved felt is skipped
-    (``surgery._DeletionTest``).
-    """
-    if not g.rings:
-        raise NoRings("criticality is defined relative to rings")
-    if g.n > guard:
-        raise TooLarge(f"{g.n} vertices exceeds guard {guard}")
-    ring_vs = g.ring_vertices
-    ring_edges = g.ring_edge_set()
-    extra_vertex = [v for v in range(g.n) if v not in ring_vs]
-    extra_edges = sorted(
-        (u, v) for u, v in g.edges() if frozenset((u, v)) not in ring_edges
-    )
-    if not extra_vertex and not extra_edges:
-        return CriticalityReport(False, ("equals-rings", None))
-    test = _DeletionTest(g)
-    rows = dict(enumerate(g.rotations))
-    for v in extra_vertex:
-        if test.unchanged(rows, vertex=v):
-            return CriticalityReport(False, ("vertex", v))
-    for e in extra_edges:
-        if test.unchanged(rows, edge=e):
-            return CriticalityReport(False, ("edge", e))
-    return CriticalityReport(True, None)
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,8 @@ break the symmetry.  The relation is read by cheap readers:
 index template, and ``blocked_precolorings`` yields the precolorings
 that do not extend, lazily and in lexicographic order, testing each by
 one lookup and one bit and building an assignment only for a blocked
-one that is drawn.  Criticality re-tests single deletions with the
-kernel against those blocked precolorings (a deletion can only grow the
-extendable set), after two local rules (``surgery._DeletionTest``):
-deleting a non-ring vertex of degree at most two, or an edge at one, is
-never felt, since that vertex keeps a free color; and a coloring that
-extends a blocked precoloring and is proper except on one edge proves
-that edge and its non-ring ends felt.  Each coloring a search finds
-starts walks over such colorings, recoloring one non-ring vertex at a
-time, and a deletion they prove felt is not searched.
+one that is drawn; the deletion test of criticality
+(``surgery._DeletionTest``) re-tests those with the kernel.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from .errors import (
     NotALadder,
     NotTame,
     NotTrianglePair,
+    NoRings,
     NothingToExtract,
     PreconditionFailed,
     RingVertex,
@@ -271,6 +272,13 @@ def _align_layers(g: EmbeddedGraph, xs: Cycle, ys: Cycle) -> Cycle:
 
 
 def ladder_contract(g: EmbeddedGraph, q2: CycleRef | Sequence[int], q3: CycleRef | Sequence[int]) -> EmbeddedGraph:
+    """The graph with the staircase between layer cycles q2 and q3
+    identified (``_ladder_contract_mapped``), ids compressed in order.
+
+    Raises NotALadder unless q2 and q3 are disjoint equal-length cycles
+    (>= 4) joined by rung 4-faces, and what ``identify_across_face``
+    raises.  No vertex guard applies: nothing is searched.
+    """
     return _ladder_contract_mapped(g, q2, q3)[0]
 
 
@@ -324,6 +332,14 @@ def _ladder_contract_mapped(g, q2, q3) -> tuple[EmbeddedGraph, dict[int, int]]:
 def collapse_triangle_pair(
     g: EmbeddedGraph, t1: CycleRef | Sequence[int], t2: CycleRef | Sequence[int]
 ) -> EmbeddedGraph:
+    """The graph with the region between two non-contractible triangles
+    sharing one vertex removed and the triangles glued
+    (``_collapse_mapped``), ids compressed in order.
+
+    Raises NotTrianglePair when t1 and t2 are no such pair around a
+    region, MalformedRotation when the gluing repeats an edge other than
+    as a digon or a lens.  No vertex guard applies: nothing is searched.
+    """
     return _collapse_mapped(g, t1, t2)[0]
 
 
@@ -420,33 +436,31 @@ def _collapse_mapped(g, t1, t2) -> tuple[EmbeddedGraph, dict[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# maximal critical subgraph
+# deletion tests: criticality and maximal critical subgraphs
 # ---------------------------------------------------------------------------
 
 
-def _connected_after(
-    rot: dict[int, Sequence[int]], removed_edge=None, removed_vertex=None
-) -> bool:
+def _connected_after(rot: dict[int, Sequence[int]], x) -> bool:
     """Is the graph of the rotation table still connected after deleting
-    one edge (a pair) or one vertex?
+    x, a vertex id or a frozenset edge?
 
     Without the edge uv, everything is reached from u exactly when
     everything but u is reached from u's other neighbours without
     passing u.
     """
-    if removed_edge is None:
-        gone = removed_vertex
-        sources = [v for v in rot if v != gone][:1]
-    else:
-        gone, other = removed_edge
+    if isinstance(x, frozenset):
+        gone, other = x
         sources = [v for v in rot[gone] if v != other]
+    else:
+        gone = x
+        sources = [v for v in rot if v != gone][:1]
     return sum(map(len, bfs_layers(rot, sources, (gone,)))) == len(rot) - 1
 
 
-def _deletion_adjacency(rows: dict[int, Sequence[int]], edge=None, vertex=None):
-    """Solver adjacency of a rotation table with one edge (a pair) or
-    one vertex deleted; ids below the largest one without a row are
-    isolated.
+def _deletion_adjacency(rows: dict[int, Sequence[int]], x):
+    """Solver adjacency of a rotation table with x, a vertex id or a
+    frozenset edge, deleted; ids below the largest one without a row
+    are isolated.
 
     The rows the deletion does not touch are ``rows``' own, shared, so
     the adjacency is valid only until ``rows`` next changes; only the
@@ -456,14 +470,14 @@ def _deletion_adjacency(rows: dict[int, Sequence[int]], edge=None, vertex=None):
     adj: list[Sequence[int]] = [()] * (max(rows) + 1)
     for v, row in rows.items():
         adj[v] = row
-    if edge is None:
-        adj[vertex] = ()
-        for u in rows[vertex]:
-            adj[u] = tuple(w for w in rows[u] if w != vertex)
-    else:
-        a, b = edge
+    if isinstance(x, frozenset):
+        a, b = x
         adj[a] = tuple(w for w in rows[a] if w != b)
         adj[b] = tuple(w for w in rows[b] if w != a)
+    else:
+        adj[x] = ()
+        for u in rows[x]:
+            adj[u] = tuple(w for w in rows[u] if w != x)
     return adj
 
 
@@ -471,9 +485,10 @@ class _DeletionTest:
     """Is one deletion of a non-ring vertex or edge felt, in g or in a
     subgraph of g with the same extendable set?
 
-    A deletion can only add members, so it is felt exactly when some
-    precoloring blocked in g extends.  Two local color arguments settle
-    most deletions before any search:
+    A deletion is a vertex id or a frozenset edge.  It can only add
+    members, so it is felt exactly when some precoloring blocked in g
+    extends.  Two local color arguments settle most deletions before any
+    search:
 
     - Degree rule: deleting a non-ring vertex x with at most two
       neighbours, or an edge at such an x, is never felt.  Any coloring
@@ -512,16 +527,28 @@ class _DeletionTest:
             yield self._drawn[i]
             i += 1
 
-    def unchanged(self, rows: dict[int, Sequence[int]], vertex=None, edge=None) -> bool:
-        """True iff deleting the vertex or the edge (a pair) from the graph
-        with rotation rows ``rows`` keeps g's extendable set."""
-        x = vertex if edge is None else frozenset(edge)
-        if x in self.felt:
-            return False
-        ends = (vertex,) if edge is None else tuple(edge)
+    def first_unchanged(self, rows: dict[int, Sequence[int]], deletions, keep_connected: bool):
+        """The first of ``deletions`` that keeps g's extendable set in the
+        graph with rotation rows ``rows``, or None.
+
+        A deletion proven felt is passed over, and so, with
+        ``keep_connected``, is one that disconnects the graph.  An
+        iterator of deletions resumes after the one returned.
+        """
+        for x in deletions:
+            if x in self.felt or (keep_connected and not _connected_after(rows, x)):
+                continue
+            if self.unchanged(rows, x):
+                return x
+        return None
+
+    def unchanged(self, rows: dict[int, Sequence[int]], x) -> bool:
+        """True iff deleting x from the graph with rotation rows ``rows``
+        keeps g's extendable set."""
+        ends = tuple(x) if isinstance(x, frozenset) else (x,)
         if any(w not in self.ring_vs and len(rows[w]) <= 2 for w in ends):
             return True
-        adj = _deletion_adjacency(rows, edge=edge, vertex=vertex)
+        adj = _deletion_adjacency(rows, x)
         for fixed in self.blocked():
             col = _solve_first(adj, fixed)
             if col is not None:
@@ -585,23 +612,67 @@ class _DeletionTest:
                     step(*todo.pop(), COLORS, seen, todo)
 
 
+@dataclass(frozen=True)
+class CriticalityReport:
+    """Verdict plus a deletable witness when the graph is not critical.
+
+    The witness is ("vertex", v) or ("edge", (u, v)) whose deletion keeps
+    the extendable set unchanged, or ("equals-rings", None) when the graph
+    is nothing but its rings.
+    """
+
+    is_critical: bool
+    witness: Optional[tuple[str, object]] = None
+
+
+def is_critical(g: EmbeddedGraph, guard: int = 22) -> CriticalityReport:
+    """True iff the graph exceeds its rings and every deletion is felt.
+
+    One scan of ``_DeletionTest`` tries the non-ring vertices by id, then
+    the non-ring edges (u, v), u < v, in sorted order; the first deletion
+    that keeps the extendable set is the witness.  Deletions are
+    evaluated on the adjacency structure, so intermediate subgraphs need
+    not be valid embeddings.  Raises NoRings on a graph without rings,
+    else TooLarge above ``guard`` vertices.
+    """
+    if not g.rings:
+        raise NoRings("criticality is defined relative to rings")
+    if g.n > guard:
+        raise TooLarge(f"{g.n} vertices exceeds guard {guard}")
+    ring_vs = g.ring_vertices
+    ring_edges = g.ring_edge_set()
+    vertices = [v for v in range(g.n) if v not in ring_vs]
+    edges = [frozenset(e) for e in sorted(g.edges()) if frozenset(e) not in ring_edges]
+    if not vertices and not edges:
+        return CriticalityReport(False, ("equals-rings", None))
+    rows = dict(enumerate(g.rotations))
+    x = _DeletionTest(g).first_unchanged(rows, vertices + edges, False)
+    if x is None:
+        return CriticalityReport(True, None)
+    if isinstance(x, frozenset):
+        return CriticalityReport(False, ("edge", tuple(sorted(x))))
+    return CriticalityReport(False, ("vertex", x))
+
+
 def maximal_critical_subgraph(g: EmbeddedGraph, guard: int = 22) -> EmbeddedGraph:
+    """The subgraph ``_maximal_critical_mapped`` extracts, ids compressed
+    in order.  Raises TooLarge above ``guard`` vertices, else
+    NothingToExtract when every ring precoloring extends."""
     return _maximal_critical_mapped(g, guard)[0]
 
 
 def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
-    """Delete non-ring edges/vertices while the extendable set is unchanged.
+    """Delete non-ring edges, then non-ring vertices, while the extendable
+    set is unchanged and the graph stays connected; returns the subgraph
+    and the old-to-new id map.
 
-    Deletion order: edges first, smallest endpoint pair first, then
-    vertices; the scan restarts after every accepted deletion, up to a
-    fixpoint.  The fixpoint is critical whenever it exceeds the bare
-    rings.  A non-ring vertex of degree at most two in the current
-    subgraph, or an edge at one, passes the deletion test without a
-    search (the graph must still stay connected).  Any other
-    deletion is tested against the precolorings blocked in g, drawn
-    lazily from the sweep; a deletion proved felt by a single-defect
-    coloring met on the walk from an earlier search's coloring (see
-    ``_DeletionTest``) is not searched again.
+    The edges are tried once each, in the order of g's rows: by larger
+    endpoint, then by position in that endpoint's rotation.  An edge
+    passed over is felt or disconnects, and stays so in every later
+    subgraph, so no later deletion makes it deletable.  The vertex scan
+    restarts from the lowest id after each deletion, since a cut vertex
+    stops being one once its pendant neighbour goes.  The result is
+    critical whenever it exceeds the bare rings.
     """
     if g.n > guard:
         raise TooLarge(f"{g.n} vertices exceeds guard {guard}")
@@ -610,40 +681,21 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
         raise NothingToExtract("every ring precoloring extends")
 
     rot: dict[int, list[int]] = {v: list(g.rotations[v]) for v in range(g.n)}
-    ring_vs = g.ring_vertices
     ring_edges = g.ring_edge_set()
-
-    changed = True
-    while changed:
-        changed = False
-        edges = sorted(
-            frozenset((u, v))
-            for v, row in rot.items()
-            for u in row
-            if u < v and frozenset((u, v)) not in ring_edges
-        )
-        for e in edges:
-            if e in test.felt or not _connected_after(rot, removed_edge=e):
-                continue
-            if test.unchanged(rot, edge=e):
-                u, v = sorted(e)
-                rot[u].remove(v)
-                rot[v].remove(u)
-                changed = True
-                break
-        if changed:
-            continue
-        for v in sorted(rot):
-            if v in ring_vs or v in test.felt:
-                continue
-            if not _connected_after(rot, removed_vertex=v):
-                continue
-            if test.unchanged(rot, vertex=v):
-                for u in rot[v]:
-                    rot[u].remove(v)
-                del rot[v]
-                changed = True
-                break
+    edges = (
+        frozenset((u, v))
+        for v, row in enumerate(g.rotations)
+        for u in row
+        if u < v and frozenset((u, v)) not in ring_edges
+    )
+    while (e := test.first_unchanged(rot, edges, True)) is not None:
+        u, v = e
+        rot[u].remove(v)
+        rot[v].remove(u)
+    while (v := test.first_unchanged(rot, sorted(rot.keys() - test.ring_vs), True)) is not None:
+        for u in rot[v]:
+            rot[u].remove(v)
+        del rot[v]
     return compress_rotations(rot, g.rings)
 
 
@@ -858,6 +910,14 @@ def audit_chain(g: EmbeddedGraph, chain: ChainDecomposition) -> list[str]:
 
 
 def cut_step(g: EmbeddedGraph, d0: int, guard: int = 22, audit: bool = True) -> EmbeddedGraph:
+    """One cutting step (``_cut_step_mapped``): a cylinder dominating g
+    with a new short non-contractible cycle, ids compressed in order.
+
+    Raises PreconditionFailed when g, or a graph stepped from, breaks a
+    precondition or no route applies; TooLarge when a graph tested for
+    criticality or extracted has more than ``guard`` vertices; with
+    ``audit``, AuditFailed when the result fails a conclusion.
+    """
     out, _ = _cut_step_mapped(g, d0, guard, audit)
     return out
 
@@ -898,8 +958,6 @@ def _cut_step_mapped(g: EmbeddedGraph, d0: int, guard: int, audit: bool):
     ends the loop; the loop steps from any other.  The audit compares
     the result with g.
     """
-    from .analysis import is_critical  # deferred: analysis imports this module
-
     cur, total, scan, d_in = g, {v: v for v in range(g.n)}, None, None
     while True:
         if len(cur.rings) != 2 or any(len(r) > 4 for r in cur.rings):

@@ -377,8 +377,10 @@ def reference_is_critical(g: EmbeddedGraph):
 def reference_maximal_critical(g: EmbeddedGraph):
     """(subgraph, vertex map) by deleting while the full set is unchanged.
 
-    Same deletion order as the library: edges first, smallest endpoint
-    pair first, then vertices; repeated to a fixpoint.
+    Same deletion order as the library: edges first, by larger endpoint
+    and then by position in that endpoint's rotation (``sorted`` keeps
+    that generation order, since frozensets compare by inclusion), then
+    vertices by id; repeated to a fixpoint.
     """
     from cylcolor.coloring import ring_precolorings
     from cylcolor.errors import NothingToExtract

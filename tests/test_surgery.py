@@ -8,6 +8,7 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -456,10 +457,10 @@ def _relabeled(g: EmbeddedGraph, seed) -> EmbeddedGraph:
     return relabel(g, perm)
 
 
-def _without(rows, vertex=None, edge=None) -> list:
-    """Oracle adjacency of ``rows`` with one vertex or one edge removed."""
-    gone = {vertex} if edge is None else set()
-    cut = set() if edge is None else {tuple(edge), tuple(edge)[::-1]}
+def _without(rows, x) -> list:
+    """Oracle adjacency of ``rows`` with x, a vertex or a frozenset edge, removed."""
+    gone = set() if isinstance(x, frozenset) else {x}
+    cut = {tuple(x), tuple(x)[::-1]} if isinstance(x, frozenset) else set()
     adj = [()] * (max(rows) + 1)
     for v, row in rows.items():
         if v not in gone:
@@ -493,9 +494,9 @@ def test_certified_felt_deletions_are_felt():
     proved = []  # (rows, deletion)
     checked = 0
 
-    def recording(self, rows, vertex=None, edge=None):
+    def recording(self, rows, x):
         before = set(self.felt)
-        out = unchanged(self, rows, vertex=vertex, edge=edge)
+        out = unchanged(self, rows, x)
         frozen = {v: tuple(row) for v, row in rows.items()}
         proved.extend((frozen, x) for x in self.felt - before)
         return out
@@ -511,8 +512,7 @@ def test_certified_felt_deletions_are_felt():
                 pass
         base = _ref_members(h.rotations, h)
         for rows, x in proved:
-            d = {"edge": tuple(x)} if isinstance(x, frozenset) else {"vertex": x}
-            assert _ref_members(_without(rows, **d), h) != base, (i, x)
+            assert _ref_members(_without(rows, x), h) != base, (i, x)
         checked += len(proved)
         proved.clear()
     assert checked > 1000
@@ -593,9 +593,8 @@ def test_no_deletion_is_searched_twice(seed, extract):
     walk = surgery._DeletionTest._walk
     walks = 0
 
-    def adjacency(rows, edge=None, vertex=None):
-        adj = build(rows, edge=edge, vertex=vertex)
-        x = vertex if edge is None else frozenset(edge)
+    def adjacency(rows, x):
+        adj = build(rows, x)
         rows = {v: tuple(row) for v, row in rows.items()}
         searches.append({"x": x, "rows": rows, "adj": adj, "col": None})
         return adj
@@ -667,11 +666,55 @@ def test_walk_certificates_on_critical_graphs_are_felt():
     for h, tested in proved.values():
         base = _ref_members(h.rotations, h)
         for rows, x in tested:
-            d = {"edge": tuple(x)} if isinstance(x, frozenset) else {"vertex": x}
-            assert _ref_members(_without(dict(rows), **d), h) != base, (h.n, x)
+            assert _ref_members(_without(dict(rows), x), h) != base, (h.n, x)
             shrunk += dict(rows) != dict(enumerate(h.rotations))
         checked += len(tested)
     assert checked > 400 and shrunk > 10, (checked, shrunk)  # 497 and 13
+
+
+def test_extraction_never_needs_a_second_edge_pass():
+    # the extraction tries each edge once: when its edge scan ends, every
+    # non-ring edge left is proven felt or a bridge, and stays so after
+    # each vertex deletion.  The edge scan takes an iterator that resumes;
+    # each vertex scan is given a fresh list
+    init, scan = surgery._DeletionTest.__init__, surgery._DeletionTest.first_unchanged
+    checked = bridges = 0
+
+    def starting(self, g):
+        init(self, g)
+        self.ring_edges = g.ring_edge_set()
+        self.vertex_scans = 0
+
+    def scanning(self, rows, deletions, keep_connected):
+        nonlocal checked, bridges
+        if keep_connected and isinstance(deletions, list):
+            self.vertex_scans += 1
+            G = nx.Graph((v, u) for v, row in rows.items() for u in row)
+            cut = {frozenset(e) for e in nx.bridges(G)}
+            for v, row in rows.items():
+                for u in row:
+                    e = frozenset((u, v))
+                    if u < v and e not in self.ring_edges:
+                        assert e in self.felt or e in cut, e
+                        checked += 1
+                        bridges += e not in self.felt
+        elif keep_connected:
+            assert self.vertex_scans == 0, "an edge scan after a vertex scan"
+        return scan(self, rows, deletions, keep_connected)
+
+    graphs = [_relabeled(g, f"certificates/{i}") for i, g in enumerate(_certificate_corpus())]
+    graphs += [_relabeled(reduced_thomas_walls(n)[0], f"one-pass/{n}") for n in range(3, 7)]
+    graphs += [fixtures.penta_tube(k) for k in (3, 4)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surgery._DeletionTest, "__init__", starting)
+        mp.setattr(surgery._DeletionTest, "first_unchanged", scanning)
+        for g in graphs:
+            try:
+                _maximal_critical_mapped(g, guard=40)
+            except NothingToExtract:
+                pass
+        cut_step(fixtures.penta_tube(6), 3, guard=40)
+    assert checked > 1000 and bridges > 0, (checked, bridges)
 
 
 def test_walk_keeps_kernel_searches_few():
@@ -718,20 +761,20 @@ def test_low_degree_deletions_are_decided_without_search():
         base = _ref_members(g.rotations, g)
         test = surgery._DeletionTest(g)
         ring_edges = g.ring_edge_set()
-        deletions = [{"vertex": v} for v in rows if v not in ring_vs]
-        deletions += [{"edge": e} for e in g.edges() if frozenset(e) not in ring_edges]
-        for d in deletions:
-            ends = (d["vertex"],) if "vertex" in d else d["edge"]
-            unchanged = _ref_members(_without(rows, **d), g) == base
+        deletions = [v for v in rows if v not in ring_vs]
+        deletions += [frozenset(e) for e in g.edges() if frozenset(e) not in ring_edges]
+        for x in deletions:
+            ends = tuple(x) if isinstance(x, frozenset) else (x,)
+            unchanged = _ref_members(_without(rows, x), g) == base
             if not any(w not in ring_vs and len(rows[w]) <= 2 for w in ends):
-                assert test.unchanged(rows, **d) == unchanged, (i, d)
+                assert test.unchanged(rows, x) == unchanged, (i, x)
                 continue
             low += 1
-            assert unchanged, (i, d)
+            assert unchanged, (i, x)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(surgery, "_deletion_adjacency", no_search)
                 mp.setattr(surgery, "_solve_first", no_search)
-                assert test.unchanged(rows, **d), (i, d)
+                assert test.unchanged(rows, x), (i, x)
     assert low > 100
 
 
