@@ -19,25 +19,25 @@ value, combining the values that reach the same frontier coloring:
 over the colorings of ring 1.  Its cost grows with the widest BFS
 layer, not with the number of colorings or of ring precolorings, so
 long chains, tubes and grids stay linear in their length.  Renaming the
-three colors maps the ring relation onto itself, so its sweep keeps one
-frontier coloring per orbit of the six renamings, in first-occurrence
-normal form, with its bitmask renamed alike, and expands each orbit
-only at the end: the sweep hands back the plain relation, each coloring
-of the final frontier with the bitmask of the ring-1 colorings that
-reach it.  Counting keeps every frontier coloring, since fixed colors
-break the symmetry.  The relation is read by cheap readers:
-``extendable_set`` and domination read the member tuples through one
-index template, and ``blocked_precolorings`` yields the precolorings
-that do not extend, lazily and in lexicographic order, testing each by
-one lookup and one bit and building an assignment only for a blocked
-one that is drawn; the deletion test of criticality
-(``surgery._DeletionTest``) re-tests those with the kernel.
+three colors maps the ring relation onto itself, so its sweep pins one
+edge of ring 1 to the colors 1 and 2, which leaves one ring-1 coloring
+per orbit of the six renamings, and renames the final state six ways at
+the end: the sweep hands back the plain relation, each coloring of the
+final frontier with the bitmask of the ring-1 colorings that reach it.
+Counting pins nothing, since fixed colors break the symmetry.  The
+relation is read by cheap readers: ``extendable_set`` and domination
+read the member tuples through one index template, and
+``blocked_precolorings`` yields the precolorings that do not extend,
+lazily and in lexicographic order, testing each by one lookup and one
+bit and building an assignment only for a blocked one that is drawn;
+the deletion test of criticality (``surgery._DeletionTest``) re-tests
+those with the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
 from operator import add, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -192,7 +192,7 @@ def count_colorings(g: EmbeddedGraph, psi: Precoloring) -> int:
     psi.validate_for(g)
     adj = g.rotations
     order = _sweep_order(adj, sorted(g.rings[0]) if g.rings else [0])
-    _, state = _frontier(adj, order, (), {(): 1}, set(), psi.assignments, add, None)
+    _, state = _frontier(adj, order, (), {(): 1}, set(), psi.assignments, add)
     return sum(state.values())
 
 
@@ -254,20 +254,17 @@ def _sweep_order(adj, start: Sequence[int]) -> list[int]:
     return [v for layer in bfs_layers(adj, start) for v in sorted(layer)]
 
 
-def _frontier(adj, order, live, state, stay, fixed: Mapping[int, int], join, settle):
+def _frontier(adj, order, live, state, stay, fixed: Mapping[int, int], join):
     """Place the vertices of ``order`` one by one; the final live
     frontier and state.
 
     ``state`` maps each coloring of ``live`` (a tuple over it) to a
     value.  Placing a vertex extends each key by every color the vertex
     may take (its fixed color, or any) that no live neighbour has, and
-    ``join`` combines the values that reach the same key.  When
-    ``settle`` is given, it maps each placement's new state to the one
-    carried on (the relation sweep folds the color renamings there).  A
-    vertex leaves the frontier once all its neighbours are placed,
-    unless it is in ``stay``.  The vertices outside ``order`` count as
-    placed, so those in ``live`` must hold every placed neighbour of
-    ``order``.
+    ``join`` combines the values that reach the same key.  A vertex
+    leaves the frontier once all its neighbours are placed, unless it is
+    in ``stay``.  The vertices outside ``order`` count as placed, so
+    those in ``live`` must hold every placed neighbour of ``order``.
     """
     left = [0] * len(adj)  # unplaced neighbours
     for v in order:
@@ -292,48 +289,13 @@ def _frontier(adj, order, live, state, stay, fixed: Mapping[int, int], join, set
                 if c not in used:
                     k = base + (c,) if stays else base
                     grown[k] = join(grown.get(k, 0), value)
-        state = grown if settle is None else settle(grown)
+        state = grown
     return live, state
 
 
-# The six renamings of the colors, identity first: _PERMS[i][c] is the
-# image of color c, and _RENAME[i] is the same map as a bytes.translate
-# table.  _COMPOSE[i][j] is the index of renaming by _PERMS[j], then by
-# _PERMS[i].  _OPENING sends the first two colors of a tuple in order of
-# appearance (fewer if it has fewer) to the renaming that numbers them
-# 1, 2 and the colors it lacks upwards in order.
-_PERMS = tuple((0,) + p for p in permutations(COLORS))
-_RENAME = tuple(bytes(p) + bytes(range(4, 256)) for p in _PERMS)
-_COMPOSE = tuple(
-    tuple(_PERMS.index(tuple(p[c] for c in q)) for q in _PERMS) for p in _PERMS
-)
-_OPENING = {  # built from the last renaming down, so the first one wins
-    bytes(sorted(COLORS, key=p.__getitem__)[:m]): i
-    for i, p in reversed(list(enumerate(_PERMS)))
-    for m in range(3)
-}
-
-
-def _normal(key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The first-occurrence normal form of a color tuple (its colors
-    renamed 1, 2, 3 in order of first appearance), and the index in
-    ``_PERMS`` of the renaming that gives it.
-
-    The second color to appear is the first one after the opening run
-    of the first."""
-    b = bytes(key)
-    head = b[:1]
-    i = _OPENING[head + b.lstrip(head)[:1]]
-    return tuple(b.translate(_RENAME[i])), i
-
-
-def _renamed(mask: int, i: int, ones: int) -> int:
-    """A bitmask over ``_Swept.starts`` with every start renamed by
-    ``_PERMS[i]``; ``ones`` has the first bit of every orbit."""
-    out = 0
-    for j, to in enumerate(_COMPOSE[i]):
-        out |= (mask >> j & ones) << to
-    return out
+# The six renamings of the colors, identity first, each as a
+# bytes.translate table.
+_RENAME = tuple(bytes((0,) + p) + bytes(range(4, 256)) for p in permutations(COLORS))
 
 
 @dataclass(frozen=True)
@@ -341,8 +303,9 @@ class _Swept:
     """The ring relation of a graph, as one frontier sweep leaves it.
 
     ``starts`` lists the colorings of ring 1 (tuples over its sorted
-    vertices) orbit by orbit: ``starts[6 * k + j]`` is the k-th one in
-    normal form (see ``_normal``) renamed by ``_PERMS[j]``.
+    vertices) one renaming at a time: with k colorings that give the
+    first two listed vertices of ring 1 the colors 1 and 2,
+    ``starts[i * k + j]`` is the j-th of them renamed by ``_RENAME[i]``.
     ``relation`` maps each coloring of ``live`` (the vertices of the
     rings after the first, and possibly some of ring 1) to the bitmask
     of the starts that extend together with it; a coloring that no start
@@ -364,51 +327,31 @@ def _sweep(g: EmbeddedGraph) -> _Swept:
     that reach the same frontier coloring.  The vertices of the other
     rings stay to the end.
 
-    Renaming the colors of a partial coloring gives a partial coloring,
-    so the sweep keeps one frontier coloring per orbit of the six
-    renamings: it starts from the ring-1 colorings in normal form, and
-    after each placement renames every new key to its normal form and
-    its mask by the same renaming (both memoized for this sweep).  The
-    pairs kept then meet every orbit of the pairs that extend, so the
-    relation is the union of the six renamings of the final state, each
-    key and its mask renamed alike.  A key that a renaming fixes collects
-    its images' bits by itself.
+    Renaming the colors maps the relation onto itself, and exactly one of
+    the six renamings colors a given edge 1, 2, so the sweep starts only
+    from the ring-1 colorings that give the first two listed vertices of
+    ring 1, a ring edge, the colors 1 and 2.  The relation is then the
+    union of the six renamings of the final state, each key renamed by
+    ``_RENAME[i]`` with its mask shifted to the starts renamed alike.
     """
     adj = g.rotations
     ring1 = sorted(g.rings[0]) if g.rings else []
-    images: list[dict[int, int]] = [{} for _ in _PERMS]
-    normal: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-    ones = 0  # set once the starts are known; the seeding's masks are 0
-
-    def settle(grown: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-        state: dict[tuple[int, ...], int] = {}
-        for k, mask in grown.items():
-            hit = normal.get(k)
-            if hit is None:
-                hit = normal[k] = _normal(k)
-            key, i = hit
-            if i:
-                seen = images[i]
-                renamed = seen.get(mask)
-                if renamed is None:
-                    renamed = seen[mask] = _renamed(mask, i, ones)
-                mask = renamed
-            state[key] = state.get(key, 0) | mask
-        return state
-
-    _, seeded = _frontier(adj, ring1, (), {(): 0}, set(ring1), {}, or_, settle)
-    starts = [tuple(bytes(s).translate(r)) for s in seeded for r in _RENAME]
-    ones = sum(1 << 6 * k for k in range(len(seeded)))
+    pin = dict(zip(g.rings[0][:2], COLORS)) if g.rings else {}
+    _, seeded = _frontier(adj, ring1, (), {(): 0}, set(ring1), pin, or_)
+    k = len(seeded)
+    starts = [tuple(bytes(s).translate(r)) for r in _RENAME for s in seeded]
     order = _sweep_order(adj, ring1 or [0])[len(ring1):]
     stay = set().union(*g.rings[1:])
-    state = {s: 1 << 6 * k for k, s in enumerate(seeded)}
-    live, state = _frontier(adj, order, ring1, state, stay, {}, or_, settle)
-    relation: dict[tuple[int, ...], int] = {}
-    for key, mask in state.items():
-        colors = bytes(key)
-        for i, r in enumerate(_RENAME):
-            k = tuple(colors.translate(r))
-            relation[k] = relation.get(k, 0) | (_renamed(mask, i, ones) if i else mask)
+    state = {s: 1 << j for j, s in enumerate(seeded)}
+    live, state = _frontier(adj, order, ring1, state, stay, {}, or_)
+    # each renaming translates all the keys at once, then splits them
+    # back into tuples as wide as the frontier
+    relation = dict(state)
+    keys = bytes(chain.from_iterable(state))
+    for i, r in enumerate(_RENAME[1:], 1):
+        split = zip(*[iter(keys.translate(r))] * len(live)) if live else [()] * len(state)
+        for key, mask in zip(split, state.values()):
+            relation[key] = relation.get(key, 0) | mask << i * k
     return _Swept(tuple(ring1), starts, tuple(live), relation)
 
 

@@ -487,7 +487,7 @@ class _DeletionTest:
 
     A deletion is a vertex id or a frozenset edge.  It can only add
     members, so it is felt exactly when some precoloring blocked in g
-    extends.  Two local color arguments settle most deletions before any
+    extends.  Two local color arguments decide most deletions before any
     search:
 
     - Degree rule: deleting a non-ring vertex x with at most two

@@ -16,8 +16,8 @@ references are former versions too: the catalog built in one shot at
 the asked bound, and every filling of the hexagon canonicalized.  The
 identification oracle merges two vertices with networkx, which knows
 nothing of the embedding.  The relation-sweep reference is the
-library's former sweep, which kept every frontier coloring apart from
-its color renamings.
+library's former sweep, which pinned no colors and so kept all six
+renamings of every frontier coloring.
 """
 
 from __future__ import annotations
@@ -279,10 +279,10 @@ def _ref_members(adj, g: EmbeddedGraph) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def reference_sweep_members(g: EmbeddedGraph) -> tuple[frozenset, int]:
-    """(members over the sorted ring vertices, widest state) of the
-    library's former relation sweep, which keeps every frontier coloring
-    apart from its color renamings.
+def reference_sweep_members(g: EmbeddedGraph) -> frozenset:
+    """The members, over the sorted ring vertices, by the library's
+    former relation sweep, which pins no colors and so keeps all six
+    renamings of every frontier coloring.
 
     The vertices are placed in the library's order: ring 1 by id, kept
     live, then BFS layers from it, each by id, the other rings staying
@@ -301,7 +301,6 @@ def reference_sweep_members(g: EmbeddedGraph) -> tuple[frozenset, int]:
     live: list[int] = []
     state: dict[tuple, int] = {(): 0}
     starts: list[tuple] = []
-    widest = 0
     for step, v in enumerate(order):
         if step == len(ring1):  # ring 1 placed: tag each of its colorings
             starts = list(state)
@@ -323,7 +322,6 @@ def reference_sweep_members(g: EmbeddedGraph) -> tuple[frozenset, int]:
                     grown[k] = grown.get(k, 0) | mask
         live = [live[i] for i in keep] + [v] * stays
         state = grown
-        widest = max(widest, len(state))
     if len(order) == len(ring1):
         starts = list(state)
         state = {s: 1 << i for i, s in enumerate(starts)}
@@ -336,7 +334,7 @@ def reference_sweep_members(g: EmbeddedGraph) -> tuple[frozenset, int]:
                 col = dict(zip(ring1, s))
                 col.update((v, key[at[v]]) for v in live)
                 members.add(tuple(col[v] for v in domain))
-    return frozenset(members), widest
+    return frozenset(members)
 
 
 # ---------------------------------------------------------------------------

@@ -330,39 +330,46 @@ def test_thomas_walls_chains_match_reference_search():
         assert extendable_set(g).members == _direct(g), n
 
 
-def _is_normal(key: tuple[int, ...]) -> bool:
-    """Are the colors of key numbered 1, 2, 3 in order of first appearance?"""
-    return list(dict.fromkeys(key)) == list(range(1, len(set(key)) + 1))
+def _proper_ring1_colorings(g: EmbeddedGraph) -> int:
+    """The colorings of ring 1 proper on every edge among its vertices."""
+    ring1 = sorted(g.rings[0])
+    edges = [(i, j) for i, a in enumerate(ring1) for j, b in enumerate(ring1)
+             if i < j and b in g.rotations[a]]
+    return sum(all(c[i] != c[j] for i, j in edges)
+               for c in product((1, 2, 3), repeat=len(ring1)))
+
+
+def _pairs(relation) -> int:
+    """The (start, frontier coloring) pairs of a state or relation."""
+    return sum(bin(mask).count("1") for mask in relation.values())
 
 
 def test_sweep_matches_the_unreduced_reference():
-    # the sweep keeps one frontier coloring per orbit of the color
-    # renamings; the former sweep kept them all, at sizes brute force
-    # cannot reach
+    # the sweep pins one ring-1 edge to the colors 1 and 2 and renames
+    # its final state at the end; the former sweep kept every frontier
+    # coloring, at sizes brute force cannot reach
     graphs = [(f"tube{k}", fixtures.penta_tube(k)) for k in range(1, 10)]
     graphs += [(f"T'{n}", reduced_thomas_walls(n)[0]) for n in range(2, 41)]
     graphs += [(f"C{a}xP{b}", cylinder_grid(a, b)) for a in range(3, 7) for b in range(3, 11)]
     frontier = coloring._frontier
     for name, g in graphs:
-        widths = []
+        calls = []
 
-        def watched(adj, order, live, state, stay, fixed, join, settle):
-            def checked(grown):
-                out = settle(grown)
-                assert all(_is_normal(key) for key in out), name
-                widths.append(len(out))
-                return out
-
-            return frontier(adj, order, live, state, stay, fixed, join, checked)
+        def watched(adj, order, live, state, stay, fixed, join):
+            out = frontier(adj, order, live, state, stay, fixed, join)
+            calls.append((fixed, state, out[1]))
+            return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(coloring, "_frontier", watched)
             got = extendable_set(g).members
-        want, widest = reference_sweep_members(g)
-        assert got == want, name
-        if name.startswith("tube"):
-            # so that the reduction cannot silently switch off
-            assert 3 * max(widths) <= widest, (name, max(widths), widest)
+        assert got == reference_sweep_members(g), name
+        # so that the reduction cannot silently switch off
+        (pin, _, seeded), (_, starts, final) = calls
+        assert pin == {g.rings[0][0]: 1, g.rings[0][1]: 2}, name
+        assert len(starts) == len(seeded), name
+        assert 6 * len(seeded) == _proper_ring1_colorings(g), name
+        assert _pairs(coloring._sweep(g).relation) == 6 * _pairs(final), name
 
 
 def _blocked_corpus() -> list[tuple[str, EmbeddedGraph]]:
@@ -377,12 +384,27 @@ def _blocked_corpus() -> list[tuple[str, EmbeddedGraph]]:
 
 
 def test_blocked_precolorings_are_the_ones_that_do_not_extend():
-    # one ring (the final frontier is empty, so every renaming fixes it),
-    # chords, shared ring vertices, and two rings far apart
+    # one ring (the final frontier is empty, so its one key collects the
+    # bits of all six renamings), chords, shared ring vertices, and two
+    # rings far apart
     for name, g in _blocked_corpus():
         members = _ref_members(g.rotations, g)
         want = [fixed for combo, fixed in ring_precolorings(g) if combo not in members]
         assert list(blocked_precolorings(g)) == want, name
+
+
+def test_the_pinned_ring_edge_does_not_matter():
+    # the sweep pins the edge from the first listed vertex of ring 1 to
+    # the second; list ring 1 from each vertex, both ways round
+    for name, g in _blocked_corpus():
+        members = extendable_set(g).members
+        blocked = list(blocked_precolorings(g))
+        ring = g.rings[0]
+        for turned in (ring, ring[::-1]):
+            for i in range(len(ring)):
+                h = g.with_rings((turned[i:] + turned[:i],) + g.rings[1:])
+                assert extendable_set(h).members == members, (name, h.rings)
+                assert list(blocked_precolorings(h)) == blocked, (name, h.rings)
 
 
 def _by_ring_position(g: EmbeddedGraph, members) -> frozenset:
