@@ -1,8 +1,12 @@
 """Batch command line over the EMG text format.
 
 Exit codes: 0 success, 1 property violation or census flag, 2 malformed
-input, usage error or a file that cannot be read or written, 3
-vertex guard exceeded (``--guard`` on the verbs that search).
+input, usage error or a file that cannot be read or written, 3 vertex
+guard or sweep state bound exceeded.  ``--guard`` bounds the vertices on
+the verbs whose cost is kernel search (``color``, ``critical``, ``cut``,
+``census``); the verbs that one frontier sweep answers (``count``,
+``extendset``, ``dominates``) take no guard, and the sweep's own bound on
+its frontier colorings stops them instead.
 """
 
 from __future__ import annotations
@@ -100,6 +104,7 @@ def _count_arg(what: str, least: int):
 
 _jobs_arg = _count_arg("worker count", 1)
 _bound_arg = _count_arg("bound", 0)
+_guard_arg = _count_arg("guard", 0)
 
 
 def _parse_precolor(items: list[dict[int, int]]) -> dict[int, int]:
@@ -107,11 +112,6 @@ def _parse_precolor(items: list[dict[int, int]]) -> dict[int, int]:
     for item in items:
         out.update(item)
     return out
-
-
-def _guarded(g: EmbeddedGraph, guard: int) -> None:
-    if g.n > guard:
-        raise TooLarge(f"{g.n} vertices exceeds guard {guard} (use --guard)")
 
 
 # Each --family name of `gen` and `census` with the generator it calls on
@@ -147,7 +147,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_color(args) -> int:
     g = _load(args.input)
-    _guarded(g, args.guard)
+    if g.n > args.guard:
+        raise TooLarge(f"{g.n} vertices exceeds guard {args.guard} (use --guard)")
     psi = coloring.Precoloring(_parse_precolor(args.precolor))
     result = coloring.extend(g, psi)
     if result is None:
@@ -160,7 +161,6 @@ def _cmd_color(args) -> int:
 
 def _cmd_count(args) -> int:
     g = _load(args.input)
-    _guarded(g, args.guard)
     psi = coloring.Precoloring(_parse_precolor(args.precolor))
     _write(f"{coloring.count_colorings(g, psi)}\n", args.out)
     return 0
@@ -168,7 +168,6 @@ def _cmd_count(args) -> int:
 
 def _cmd_extendset(args) -> int:
     g = _load(args.input)
-    _guarded(g, args.guard)
     es = coloring.extendable_set(g)
     lines = ["domain " + " ".join(map(str, es.ring_domain))]
     for member in sorted(es.members):
@@ -191,8 +190,6 @@ def _cmd_critical(args) -> int:
 def _cmd_dominates(args) -> int:
     g1 = _load(args.input)
     g2 = parse_emg(_read_input(args.other))
-    _guarded(g1, args.guard)
-    _guarded(g2, args.guard)
     verdict = coloring.dominates(g1, g2)
     _write(f"dominates={int(verdict)}\n", args.out)
     return 0
@@ -293,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     def guarded(sp):
-        sp.add_argument("--guard", type=int, default=22, help="vertex guard: larger graphs exit 3")
+        sp.add_argument("--guard", type=_guard_arg, default=22, help="vertex guard: larger graphs exit 3")
 
     sp = sub.add_parser("gen", help="generate a graph family as an EMG stream")
     sp.add_argument("--family", required=True, choices=list(_FAMILIES))
@@ -317,13 +314,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("count", help="count 3-colorings extending a precoloring")
     common(sp)
-    guarded(sp)
     sp.add_argument("--precolor", action="append", default=[], type=_precolor_arg)
     sp.set_defaults(func=_cmd_count)
 
     sp = sub.add_parser("extendset", help="list extendable ring precolorings")
     common(sp)
-    guarded(sp)
     sp.set_defaults(func=_cmd_extendset)
 
     sp = sub.add_parser("critical", help="test criticality relative to the rings")
@@ -333,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dominates", help="does the first graph dominate the second")
     common(sp)
-    guarded(sp)
     sp.add_argument("--other", required=True, help="EMG path of the second graph")
     sp.set_defaults(func=_cmd_dominates)
 
@@ -379,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="input", default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--max-vertices", type=int, default=8)
-    sp.add_argument("--guard", type=int, default=22)
+    sp.add_argument("--guard", type=_guard_arg, default=22)
     sp.add_argument("--catalog-bound", type=_bound_arg, default=20)
     sp.add_argument(
         "--patch-bound", dest="max_internal", metavar="PATCH_BOUND", type=_bound_arg, default=4

@@ -18,7 +18,12 @@ value, combining the values that reach the same frontier coloring:
 ``count_colorings`` adds counts, and the ring relation ORs bitmasks
 over the colorings of ring 1.  Its cost grows with the widest BFS
 layer, not with the number of colorings or of ring precolorings, so
-long chains, tubes and grids stay linear in their length.  Renaming the
+long chains, tubes and grids stay linear in their length.  A sweep
+raises TooLarge rather than hold more than ``_MAX_STATES`` frontier
+colorings after a placement; the relation sweep also stops when its
+ring-1 masks would be wider than the square root of that bound or its
+six-way expansion larger than the bound, and the readers stop before
+building more than ``_MAX_STATES`` member tuples.  Renaming the
 three colors maps the ring relation onto itself, so its sweep pins one
 edge of ring 1 to the colors 1 and 2, which leaves one ring-1 coloring
 per orbit of the six renamings, and renames the final state six ways at
@@ -42,13 +47,17 @@ from operator import add, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .embedding import EmbeddedGraph, bfs_layers, canon_cycle
-from .errors import ImproperPrecoloring, NoRings, RingMismatch
+from .errors import ImproperPrecoloring, NoRings, RingMismatch, TooLarge
 
 COLORS = (1, 2, 3)
 _FULL = 0b111
 _MASK = {1: 0b001, 2: 0b010, 3: 0b100}
 _COLOR_OF = {0b001: 1, 0b010: 2, 0b100: 3}
 _BITS = tuple(bin(m).count("1") for m in range(8))
+# the most frontier colorings a sweep may hold after a placement, and the
+# most member tuples read from a relation; a count stopped by it peaks at
+# about 170 MiB (CPython 3.11)
+_MAX_STATES = 1 << 18
 
 
 @dataclass
@@ -265,6 +274,8 @@ def _frontier(adj, order, live, state, stay, fixed: Mapping[int, int], join):
     leaves the frontier once all its neighbours are placed, unless it is
     in ``stay``.  The vertices outside ``order`` count as placed, so
     those in ``live`` must hold every placed neighbour of ``order``.
+    Raises TooLarge when a placement leaves more than ``_MAX_STATES``
+    keys.
     """
     left = [0] * len(adj)  # unplaced neighbours
     for v in order:
@@ -289,6 +300,8 @@ def _frontier(adj, order, live, state, stay, fixed: Mapping[int, int], join):
                 if c not in used:
                     k = base + (c,) if stays else base
                     grown[k] = join(grown.get(k, 0), value)
+        if len(grown) > _MAX_STATES:
+            raise TooLarge(f"the sweep holds more than {_MAX_STATES} frontier colorings")
         state = grown
     return live, state
 
@@ -333,17 +346,26 @@ def _sweep(g: EmbeddedGraph) -> _Swept:
     ring 1, a ring edge, the colors 1 and 2.  The relation is then the
     union of the six renamings of the final state, each key renamed by
     ``_RENAME[i]`` with its mask shifted to the starts renamed alike.
+    Raises TooLarge when k * k exceeds ``_MAX_STATES`` for the k seeded
+    colorings, or when the six renamings of the final state could hold
+    more than ``_MAX_STATES`` keys.
     """
     adj = g.rotations
     ring1 = sorted(g.rings[0]) if g.rings else []
     pin = dict(zip(g.rings[0][:2], COLORS)) if g.rings else {}
     _, seeded = _frontier(adj, ring1, (), {(): 0}, set(ring1), pin, or_)
     k = len(seeded)
+    # every key carries a k-bit mask, and the seeded masks alone hold
+    # about k * k / 2 bits
+    if k * k > _MAX_STATES:
+        raise TooLarge(f"ring 1 has {k} colorings up to renaming, too many to sweep")
     starts = [tuple(bytes(s).translate(r)) for r in _RENAME for s in seeded]
     order = _sweep_order(adj, ring1 or [0])[len(ring1):]
     stay = set().union(*g.rings[1:])
     state = {s: 1 << j for j, s in enumerate(seeded)}
     live, state = _frontier(adj, order, ring1, state, stay, {}, or_)
+    if len(state) * len(_RENAME) > _MAX_STATES:
+        raise TooLarge(f"the ring relation could hold more than {_MAX_STATES} frontier colorings")
     # each renaming translates all the keys at once, then splits them
     # back into tuples as wide as the frontier
     relation = dict(state)
@@ -360,8 +382,11 @@ def _members(sw: _Swept, order: Sequence[int]) -> frozenset[tuple[int, ...]]:
     (the ring vertices).
 
     Each member is read from a start followed by a frontier coloring
-    through one index template.
+    through one index template.  Raises TooLarge, before building any,
+    when there are more than ``_MAX_STATES`` members.
     """
+    if sum(map(int.bit_count, sw.relation.values())) > _MAX_STATES:
+        raise TooLarge(f"the extendable set holds more than {_MAX_STATES} precolorings")
     where = {v: i for i, v in enumerate(sw.ring1)}
     where.update((v, len(sw.ring1) + i) for i, v in enumerate(sw.live))
     fill = _picker([where[v] for v in order])

@@ -633,7 +633,8 @@ def is_critical(g: EmbeddedGraph, guard: int = 22) -> CriticalityReport:
     that keeps the extendable set is the witness.  Deletions are
     evaluated on the adjacency structure, so intermediate subgraphs need
     not be valid embeddings.  Raises NoRings on a graph without rings,
-    else TooLarge above ``guard`` vertices.
+    else TooLarge above ``guard`` vertices or when a sweep of the
+    deletion test passes its bound on frontier colorings.
     """
     if not g.rings:
         raise NoRings("criticality is defined relative to rings")
@@ -656,8 +657,9 @@ def is_critical(g: EmbeddedGraph, guard: int = 22) -> CriticalityReport:
 
 def maximal_critical_subgraph(g: EmbeddedGraph, guard: int = 22) -> EmbeddedGraph:
     """The subgraph ``_maximal_critical_mapped`` extracts, ids compressed
-    in order.  Raises TooLarge above ``guard`` vertices, else
-    NothingToExtract when every ring precoloring extends."""
+    in order.  Raises TooLarge above ``guard`` vertices or past the
+    sweep's bound on frontier colorings, else NothingToExtract when every
+    ring precoloring extends."""
     return _maximal_critical_mapped(g, guard)[0]
 
 
@@ -706,14 +708,14 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
 
 @dataclass(frozen=True)
 class ChainDecomposition:
-    """Cutting cycles and the sub-cylinders between consecutive ones."""
+    """The cutting cycles, ring 1 first and ring 2 last; the n pieces
+    are the sub-cylinders between consecutive ones."""
 
     cutting_cycles: tuple[CycleRef, ...]
-    pieces: tuple[EmbeddedGraph, ...]
 
     @property
     def n(self) -> int:
-        return len(self.pieces)
+        return len(self.cutting_cycles) - 1
 
 
 def _hole1_side(g: EmbeddedGraph, cyc: Cycle) -> frozenset[int]:
@@ -806,35 +808,7 @@ def chain_decompose(g: EmbeddedGraph) -> ChainDecomposition:
                 best[y] = (lx + 1, px + (y,))
     if cn not in best:
         raise AuditFailed("no valid chain found")
-    path = best[cn][1]
-    cycles = tuple(CycleRef(c, False) for c in path)
-    pieces = tuple(_piece_between(g, path[i], path[i + 1], sides) for i in range(len(path) - 1))
-    return ChainDecomposition(cycles, pieces)
-
-
-def _piece_between(g, x: Cycle, y: Cycle, sides) -> EmbeddedGraph:
-    region = sides[y] - sides[x]
-    rot: dict[int, list[int]] = {}
-    cyc_edges = set()
-    for c in (x, y):
-        for i in range(len(c)):
-            cyc_edges.add(frozenset((c[i], c[(i + 1) % len(c)])))
-    for v in range(g.n):
-        row = []
-        for u in g.rotations[v]:
-            e = frozenset((u, v))
-            if (
-                g.face_of_dart(v, u) in region
-                or g.face_of_dart(u, v) in region
-                or e in cyc_edges
-            ):
-                row.append(u)
-        if row:
-            rot[v] = row
-    keep = set(rot)
-    for v in keep:
-        rot[v] = [u for u in rot[v] if u in keep]
-    return compress_rotations(rot, (x, y))[0]
+    return ChainDecomposition(tuple(CycleRef(c, False) for c in best[cn][1]))
 
 
 def audit_chain(g: EmbeddedGraph, chain: ChainDecomposition) -> list[str]:
@@ -880,8 +854,7 @@ def audit_chain(g: EmbeddedGraph, chain: ChainDecomposition) -> list[str]:
     for t in triangles:
         if canon_cycle(t) not in canon_cuts:
             violations.append(f"triangle {t} is not a cutting cycle")
-    # pieces tile the graph: regions partition the internal faces and each
-    # piece carries exactly its region's edges plus its boundary cycles
+    # pieces tile the graph: their regions partition the internal faces
     sides = {c: _hole1_side(g, c) for c in cycles}
     covered_faces: set[int] = set()
     for i in range(n):
@@ -889,15 +862,6 @@ def audit_chain(g: EmbeddedGraph, chain: ChainDecomposition) -> list[str]:
         if covered_faces & region:
             violations.append(f"piece {i} overlaps earlier pieces")
         covered_faces |= region
-        expected = set()
-        for c in (cycles[i], cycles[i + 1]):
-            for t in range(len(c)):
-                expected.add(frozenset((c[t], c[(t + 1) % len(c)])))
-        for u, v in g.edges():
-            if g.face_of_dart(u, v) in region or g.face_of_dart(v, u) in region:
-                expected.add(frozenset((u, v)))
-        if i < len(chain.pieces) and chain.pieces[i].edge_count != len(expected):
-            violations.append(f"piece {i} edge count mismatch")
     all_faces = set(range(len(g.faces.faces))) - set(g.faces.ring_faces)
     if covered_faces != all_faces:
         violations.append("pieces do not tile the internal faces")
@@ -915,7 +879,8 @@ def cut_step(g: EmbeddedGraph, d0: int, guard: int = 22, audit: bool = True) -> 
 
     Raises PreconditionFailed when g, or a graph stepped from, breaks a
     precondition or no route applies; TooLarge when a graph tested for
-    criticality or extracted has more than ``guard`` vertices; with
+    criticality or extracted has more than ``guard`` vertices, or when a
+    sweep passes its bound on frontier colorings; with
     ``audit``, AuditFailed when the result fails a conclusion.
     """
     out, _ = _cut_step_mapped(g, d0, guard, audit)

@@ -23,6 +23,12 @@ def k4() -> EmbeddedGraph:
     return EmbeddedGraph(((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)))
 
 
+def k2n_sphere(n: int) -> EmbeddedGraph:
+    """K_{2,n} as a sphere map: hubs 0 and 1, leaves 2..n+1, n 4-faces."""
+    leaves = tuple(range(2, n + 2))
+    return EmbeddedGraph((leaves, leaves[::-1]) + ((0, 1),) * n)
+
+
 def c4_disk() -> EmbeddedGraph:
     """4-cycle with one hole: the graph equals its own ring."""
     return EmbeddedGraph(((1, 3), (0, 2), (1, 3), (0, 2)), rings=((0, 1, 2, 3),))

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import os
+import subprocess
 import sys
 from unittest import mock
 
@@ -267,30 +270,92 @@ def test_guard_exit_code(capsys, monkeypatch):
 
     g = cylinder_grid(4, 7)
     code, out, err = run(
-        capsys, ["count", "--guard", "20"], stdin=emit_emg(g), monkeypatch=monkeypatch
+        capsys, ["critical", "--guard", "20"], stdin=emit_emg(g), monkeypatch=monkeypatch
     )
     assert code == 3
+    assert err.startswith("error: 28 vertices exceeds guard 20")
 
 
 def test_guard_only_on_verbs_that_read_it(capsys):
     from cylcolor.cli import _build_parser
 
     required = {
+        "dominates": ["--other", "h.emg"],
         "identify": ["--face", "0,1,2,3"],
         "contract-ladder": ["--q2", "0,1,2,3", "--q3", "4,5,6,7"],
         "attach-ring": ["--vertex", "0"],
     }
-    for verb in ("classify", "faces", "chain", "identify", "contract-ladder", "attach-ring"):
+    for verb in (
+        "count", "extendset", "dominates",
+        "classify", "faces", "chain", "identify", "contract-ladder", "attach-ring",
+    ):
         with pytest.raises(SystemExit) as err:
             main([verb, *required.get(verb, []), "--guard", "30"])
         assert err.value.code == 2
         assert "unrecognized arguments: --guard 30" in capsys.readouterr().err
     parser = _build_parser()
     for argv in (
-        ["color"], ["count"], ["extendset"], ["critical"], ["dominates", "--other", "h.emg"],
-        ["cut", "--d0", "3"], ["census", "--family", "quad33"],
+        ["color"], ["critical"], ["cut", "--d0", "3"], ["census", "--family", "quad33"],
     ):
         assert parser.parse_args([*argv, "--guard", "30"]).guard == 30
+
+
+def test_sweep_verbs_answer_past_the_old_guard(capsys, monkeypatch):
+    from cylcolor.coloring import Precoloring, count_colorings, extendable_set
+    from cylcolor.families import reduced_thomas_walls
+
+    tube = fixtures.penta_tube(9)
+    code, out, err = run(capsys, ["count"], stdin=emit_emg(tube), monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    assert out == f"{count_colorings(tube, Precoloring({}))}\n"
+    chain, _ = reduced_thomas_walls(100)
+    code, out, err = run(capsys, ["extendset"], stdin=emit_emg(chain), monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    es = extendable_set(chain)
+    lines = out.splitlines()
+    assert lines[0] == "domain " + " ".join(map(str, es.ring_domain))
+    assert lines[1:] == ["member " + " ".join(map(str, m)) for m in sorted(es.members)]
+
+
+# Runs the command after it on stdin and prints its exit code, stderr, wall
+# seconds and peak RSS in KiB.  A fresh interpreter, so that RUSAGE_CHILDREN
+# sees that command alone.
+_MEASURED = """
+import json, resource, subprocess, sys, time
+t = time.perf_counter()
+done = subprocess.run(sys.argv[1:], stdin=sys.stdin, capture_output=True, text=True, timeout=30)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([done.returncode, done.stderr, time.perf_counter() - t, peak]))
+"""
+
+
+# inputs past the sweep's bound: on its frontier colorings (K_{2,20} from a
+# hub, the 40x40 grid), on its ring-1 colorings (a 16-ring) and on the
+# extendable set it expands to (two 11-rings)
+_TOO_WIDE = {
+    "K2,20": lambda: fixtures.k2n_sphere(20),
+    "grid40x40": lambda: cylinder_grid(40, 40),
+    "grid16x3": lambda: cylinder_grid(16, 3),
+    "grid11x3": lambda: cylinder_grid(11, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "verb,name",
+    [("count", "K2,20"), ("count", "grid40x40"), ("extendset", "grid16x3"), ("extendset", "grid11x3")],
+)
+def test_sweep_state_bound_exits_3_small_and_fast(verb, name):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _MEASURED, sys.executable, "-m", "cylcolor.cli", verb],
+        input=emit_emg(_TOO_WIDE[name]()), capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    code, err, seconds, peak_kib = json.loads(done.stdout)
+    assert code == 3, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert seconds < 5, seconds
+    assert peak_kib < 256 * 1024, peak_kib
 
 
 def test_usage_error_exit_code():
@@ -430,6 +495,15 @@ def test_census_jobs_below_one_is_usage_error(capsys):
         assert "error: argument --jobs" in capsys.readouterr().err
 
 
+def test_negative_guard_is_usage_error(capsys):
+    for argv in (["color"], ["critical"], ["cut", "--d0", "3"], ["census", "--family", "quad33"]):
+        for bad in ("-1", "many"):
+            with pytest.raises(SystemExit) as err:
+                main([*argv, "--guard", bad])
+            assert err.value.code == 2, argv
+            assert "error: argument --guard" in capsys.readouterr().err, argv
+
+
 # -- exit-code contract under mutated input ---------------------------------------
 
 _FUZZ_SEEDS = [
@@ -478,6 +552,7 @@ def test_exit_code_contract_on_mutated_input(text, edits, argv):
 # -- exit-code contract under fuzzed arguments ------------------------------------
 
 _NUM = st.integers(-3, 9)
+_GUARD = st.integers(-3, 30)
 _VERTICES = st.lists(_NUM, max_size=5).map(lambda vs: ",".join(map(str, vs)))
 _PRECOLOR = st.lists(st.tuples(_NUM, st.integers(-1, 4)), max_size=4).map(
     lambda ps: ",".join(f"{v}={c}" for v, c in ps)
@@ -511,17 +586,23 @@ def _gen_argv(family: str) -> st.SearchStrategy:
 _FUZZ_ARGV = st.one_of(
     _argv("identify", _opt("--face", _VERTICES), _opt("--diagonal", st.sampled_from(["13", "24", "31"]))),
     _argv("contract-ladder", _opt("--q2", _VERTICES), _opt("--q3", _VERTICES)),
-    _argv("cut", _opt("--d0", _NUM)),
+    _argv("cut", _opt("--d0", _NUM), _opt("--guard", _GUARD)),
     _argv("attach-ring", _opt("--vertex", _NUM)),
-    _argv("color", _opt("--precolor", _PRECOLOR)),
-    _argv("count", _opt("--precolor", _PRECOLOR)),
+    _argv("color", _opt("--precolor", _PRECOLOR), _opt("--guard", _GUARD)),
+    _argv("critical", _opt("--guard", _GUARD)),
+    # the sweep verbs take no guard: with one, the usage is refused
+    _argv("count", _opt("--precolor", _PRECOLOR), _opt("--guard", _GUARD)),
+    _argv("extendset", _opt("--guard", _GUARD)),
+    _argv("dominates", st.just(["--other", "-"]), _opt("--guard", _GUARD)),
     st.sampled_from(list(_FAMILIES)).flatmap(_gen_argv),
     _argv(
         "census", st.sampled_from([["--family", f] for f in ("quad33", "framed-tw", "stdin")]),
         _opt("--catalog-bound", st.integers(-3, 10)),
         _opt("--max-vertices", st.integers(-3, 8)), _opt("--patch-bound", _NUM),
+        _opt("--guard", _GUARD), _opt("--jobs", st.integers(-1, 2)),
     ),
 )
+_SWEEP_VERBS = ("count", "extendset", "dominates")
 
 
 @given(st.sampled_from(_FUZZ_SEEDS), _FUZZ_ARGV)
@@ -537,3 +618,6 @@ def test_exit_code_contract_on_fuzzed_arguments(text, argv):
                 assert code == 2
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    guards = [int(v) for flag, v in zip(argv, argv[1:]) if flag == "--guard"]
+    if guards and (argv[0] in _SWEEP_VERBS or min(guards) < 0):
+        assert code == 2 and "argument" in err.getvalue(), argv

@@ -25,7 +25,7 @@ from cylcolor.coloring import (
     _ring_signature,
 )
 from cylcolor.embedding import EmbeddedGraph, parse_emg_stream, relabel
-from cylcolor.errors import ImproperPrecoloring, NoRings, RingMismatch
+from cylcolor.errors import ImproperPrecoloring, NoRings, RingMismatch, TooLarge
 from cylcolor.families import (
     cylinder_grid,
     generate_hexagon_disks,
@@ -150,14 +150,8 @@ def test_count_invariant_under_color_permutation(perm):
     )
 
 
-def k2n_sphere(n: int) -> EmbeddedGraph:
-    """K_{2,n} as a sphere map: hubs 0 and 1, leaves 2..n+1, n 4-faces."""
-    leaves = tuple(range(2, n + 2))
-    return EmbeddedGraph((leaves, leaves[::-1]) + ((0, 1),) * n)
-
-
 def _unusual_shapes() -> list[tuple[str, EmbeddedGraph]]:
-    out = [(f"K2,{n}", k2n_sphere(n)) for n in range(3, 9)]
+    out = [(f"K2,{n}", fixtures.k2n_sphere(n)) for n in range(3, 9)]
     out += [(f"tube{k}", fixtures.penta_tube(k)) for k in range(1, 4)]
     out += fixtures.sphere_corpus()
     out.append(("C4-disk", fixtures.c4_disk()))
@@ -177,6 +171,29 @@ def test_count_at_wide_frontiers_and_unusual_shapes():
             # 3^n brute force up to 16 vertices, the recursive search beyond
             want = brute_ring_members(g) if g.n <= 16 else _ref_members(g.rotations, g)
             assert extendable_set(g).members == want, name
+
+
+def test_sweep_state_bound_raises_too_large(monkeypatch):
+    # T'_3 has 3 ring-1 colorings up to renaming, at most 14 frontier
+    # colorings at once, 6 * 14 before the six renamings merge, and 120
+    # extendable precolorings
+    g, _ = reduced_thomas_walls(3)
+    for bound, what in (
+        (4, "ring 1 has 3 colorings"), (13, "sweep holds"), (83, "ring relation"),
+        (119, "extendable set"),
+    ):
+        monkeypatch.setattr(coloring, "_MAX_STATES", bound)
+        with pytest.raises(TooLarge, match=what):
+            extendable_set(g)
+        with pytest.raises(TooLarge, match=what):
+            dominates(g, g)
+    # only the members are past the bound: the relation is still read
+    assert next(blocked_precolorings(g), None) is not None
+    monkeypatch.setattr(coloring, "_MAX_STATES", 120)
+    assert len(extendable_set(g).members) == 120
+    monkeypatch.setattr(coloring, "_MAX_STATES", 9)
+    with pytest.raises(TooLarge, match="sweep holds"):
+        count_colorings(g, Precoloring({}))
 
 
 def _layer_transfer_matrix(c: int) -> np.ndarray:
