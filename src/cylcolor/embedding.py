@@ -360,10 +360,12 @@ def distance(g: EmbeddedGraph, h1: Iterable[int], h2: Iterable[int]) -> float:
 def _cycles_up_to(
     g: EmbeddedGraph, max_len: int, within: Iterable[int] | None = None
 ) -> list[Cycle]:
-    """All cycles of length <= max_len (optionally inside a vertex set)."""
+    """All cycles of length <= max_len (optionally inside a vertex set).
+    A path's last vertex, at length max_len, must close it at the root."""
     allowed = set(within) if within is not None else set(range(g.n))
     out: set[Cycle] = set()
     for root in sorted(allowed):
+        closing = set(g.rotations[root])
         stack = [(root, [root])]
         while stack:
             v, path = stack.pop()
@@ -374,7 +376,7 @@ def _cycles_up_to(
                     u > root
                     and u in allowed
                     and u not in path
-                    and len(path) < max_len
+                    and (len(path) < max_len - 1 or (len(path) == max_len - 1 and u in closing))
                 ):
                     stack.append((u, path + [u]))
     return sorted(out, key=lambda c: (tuple(sorted(c)), c))

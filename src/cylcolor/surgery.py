@@ -113,13 +113,8 @@ def _identify_mapped(
 ) -> tuple[EmbeddedGraph, dict[int, int]]:
     fl = g.faces
     fc = canon_cycle(face)
-    walk = None
-    for idx, f in enumerate(fl.faces):
-        if idx in fl.ring_faces or len(f) != 4:
-            continue
-        if canon_cycle(f) == fc:
-            walk = f
-            break
+    quads = (f for i, f in enumerate(fl.faces) if i not in fl.ring_faces and len(f) == 4)
+    walk = next((f for f in quads if canon_cycle(f) == fc), None)
     if walk is None:
         raise NotAFace(f"{tuple(face)} is not an internal 4-face")
     v1, v3 = pair
@@ -239,13 +234,9 @@ def shortest_layer_cycle(g: EmbeddedGraph, a: int, ring_index: int = 0) -> Cycle
         ]
         if found:
             best = min(found, key=lambda c: (tuple(sorted(c)), c))
-            k = len(best)
-            for i in range(k):
-                for j in range(i + 2, k):
-                    if i == 0 and j == k - 1:
-                        continue
-                    if g.has_edge(best[i], best[j]):
-                        raise AuditFailed(f"shortest layer cycle {best} has a chord")
+            k = len(best)  # a chord joins i and j > i + 1, but not 0 and k - 1
+            if any(g.has_edge(best[i], best[j]) for i in range(k) for j in range(i + 2, k - (i == 0))):
+                raise AuditFailed(f"shortest layer cycle {best} has a chord")
             return CycleRef(best, False)
     raise NoSuchCycle(f"no non-contractible cycle inside layer {a}")
 
@@ -257,17 +248,11 @@ def shortest_layer_cycle(g: EmbeddedGraph, a: int, ring_index: int = 0) -> Cycle
 
 def _align_layers(g: EmbeddedGraph, xs: Cycle, ys: Cycle) -> Cycle:
     """Rotate/reflect ys so ys[i] is adjacent to xs[i] for all i."""
-    k = len(xs)
-    options = []
-    fwd = list(ys)
-    for s in range(k):
-        options.append(tuple(fwd[s:] + fwd[:s]))
-    rev = list(reversed(ys))
-    for s in range(k):
-        options.append(tuple(rev[s:] + rev[:s]))
-    for cand in options:
-        if all(g.has_edge(xs[i], cand[i]) for i in range(k)):
-            return cand
+    for way in (tuple(ys), tuple(reversed(ys))):
+        for s in range(len(way)):
+            cand = way[s:] + way[:s]
+            if all(map(g.has_edge, xs, cand)):
+                return cand
     raise NotALadder("layer cycles have no aligned rung matching")
 
 
@@ -309,9 +294,7 @@ def _ladder_contract_mapped(g, q2, q3) -> tuple[EmbeddedGraph, dict[int, int]]:
             raise NotALadder(f"rung face {quad} missing")
     last = k - 3 if k % 2 == 0 else k - 2
     # 1-based alternating staircase: x1, y2, x3, ...
-    chain = [
-        (xs[t - 1] if t % 2 == 1 else ys[t - 1]) for t in range(1, last + 1)
-    ]
+    chain = [(xs[t - 1] if t % 2 == 1 else ys[t - 1]) for t in range(1, last + 1)]
     total = {v: v for v in range(g.n)}
     cur = g
     for t in range(1, len(chain)):
@@ -396,28 +379,21 @@ def _collapse_mapped(g, t1, t2) -> tuple[EmbeddedGraph, dict[int, int]]:
     for v in range(g.n):
         if v in c1 or v in c2:
             continue
-        vfaces = {g.face_of_dart(v, u) for u in g.rotations[v]} | {
-            g.face_of_dart(u, v) for u in g.rotations[v]
-        }
+        vfaces = {f for u in g.rotations[v] for f in (g.face_of_dart(v, u), g.face_of_dart(u, v))}
         if vfaces & sigma:
             if not vfaces <= sigma:
                 raise NotTrianglePair(f"vertex {v} straddles the region boundary")
             interior_vertices.add(v)
-    interior_edges = set()
-    for u, v in g.edges():
-        if g.face_of_dart(u, v) in sigma and g.face_of_dart(v, u) in sigma:
-            interior_edges.add(frozenset((u, v)))
-
-    rot: dict[int, list[int]] = {}
-    for v in range(g.n):
-        if v in interior_vertices:
-            continue
-        row = [
-            u
-            for u in g.rotations[v]
-            if u not in interior_vertices and frozenset((u, v)) not in interior_edges
-        ]
-        rot[v] = row
+    interior_edges = {
+        frozenset((u, v))
+        for u, v in g.edges()
+        if g.face_of_dart(u, v) in sigma and g.face_of_dart(v, u) in sigma
+    }
+    rot = {
+        v: [u for u in row if u not in interior_vertices and frozenset((u, v)) not in interior_edges]
+        for v, row in enumerate(g.rotations)
+        if v not in interior_vertices
+    }
 
     def splice(keep: int, other: int, k_start: int, k_end: int, o_start: int, o_end: int):
         lk = _linearize(rot[keep], k_start)
@@ -483,7 +459,7 @@ def _deletion_adjacency(rows: dict[int, Sequence[int]], x):
 
 class _DeletionTest:
     """Is one deletion of a non-ring vertex or edge felt, in g or in a
-    subgraph of g with the same extendable set?
+    subgraph of g with the same extendable set?  Is such a graph critical?
 
     A deletion is a vertex id or a frozenset edge.  It can only add
     members, so it is felt exactly when some precoloring blocked in g
@@ -511,6 +487,7 @@ class _DeletionTest:
 
     def __init__(self, g: EmbeddedGraph):
         self.ring_vs = g.ring_vertices
+        self.ring_edges = g.ring_edge_set()
         self.felt: set = set()  # vertex ids and frozenset edges
         self._drawn: list[dict[int, int]] = []
         self._pending = blocked_precolorings(g)
@@ -541,6 +518,21 @@ class _DeletionTest:
             if self.unchanged(rows, x):
                 return x
         return None
+
+    def witness(self, rows: dict[int, Sequence[int]]) -> Optional[tuple[str, object]]:
+        """The ``CriticalityReport`` witness of the graph with rotation rows
+        ``rows``, None when it is critical: the first non-ring vertex by
+        id, then non-ring edge (u, v), u < v, in sorted order, whose
+        deletion keeps g's set, disconnecting deletions included."""
+        vertices = sorted(rows.keys() - self.ring_vs)
+        edges = sorted((u, v) for v, row in rows.items() for u in row if u < v)
+        edges = [e for e in edges if frozenset(e) not in self.ring_edges]
+        if not vertices and not edges:
+            return ("equals-rings", None)
+        x = self.first_unchanged(rows, vertices + [frozenset(e) for e in edges], False)
+        if x is None:
+            return None
+        return ("edge", tuple(sorted(x))) if isinstance(x, frozenset) else ("vertex", x)
 
     def unchanged(self, rows: dict[int, Sequence[int]], x) -> bool:
         """True iff deleting x from the graph with rotation rows ``rows``
@@ -628,9 +620,8 @@ class CriticalityReport:
 def is_critical(g: EmbeddedGraph, guard: int = 22) -> CriticalityReport:
     """True iff the graph exceeds its rings and every deletion is felt.
 
-    One scan of ``_DeletionTest`` tries the non-ring vertices by id, then
-    the non-ring edges (u, v), u < v, in sorted order; the first deletion
-    that keeps the extendable set is the witness.  Deletions are
+    The witness is the first deletion that keeps the extendable set in
+    one scan of a fresh ``_DeletionTest`` (``witness``).  Deletions are
     evaluated on the adjacency structure, so intermediate subgraphs need
     not be valid embeddings.  Raises NoRings on a graph without rings,
     else TooLarge above ``guard`` vertices or when a sweep of the
@@ -640,19 +631,8 @@ def is_critical(g: EmbeddedGraph, guard: int = 22) -> CriticalityReport:
         raise NoRings("criticality is defined relative to rings")
     if g.n > guard:
         raise TooLarge(f"{g.n} vertices exceeds guard {guard}")
-    ring_vs = g.ring_vertices
-    ring_edges = g.ring_edge_set()
-    vertices = [v for v in range(g.n) if v not in ring_vs]
-    edges = [frozenset(e) for e in sorted(g.edges()) if frozenset(e) not in ring_edges]
-    if not vertices and not edges:
-        return CriticalityReport(False, ("equals-rings", None))
-    rows = dict(enumerate(g.rotations))
-    x = _DeletionTest(g).first_unchanged(rows, vertices + edges, False)
-    if x is None:
-        return CriticalityReport(True, None)
-    if isinstance(x, frozenset):
-        return CriticalityReport(False, ("edge", tuple(sorted(x))))
-    return CriticalityReport(False, ("vertex", x))
+    why = _DeletionTest(g).witness(dict(enumerate(g.rotations)))
+    return CriticalityReport(why is None, why)
 
 
 def maximal_critical_subgraph(g: EmbeddedGraph, guard: int = 22) -> EmbeddedGraph:
@@ -664,17 +644,23 @@ def maximal_critical_subgraph(g: EmbeddedGraph, guard: int = 22) -> EmbeddedGrap
 
 
 def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
+    """The subgraph ``_extract`` leaves and the old-to-new id map."""
+    return compress_rotations(_extract(g, guard)[1], g.rings)
+
+
+def _extract(g: EmbeddedGraph, guard: int) -> tuple[_DeletionTest, dict[int, list[int]]]:
     """Delete non-ring edges, then non-ring vertices, while the extendable
-    set is unchanged and the graph stays connected; returns the subgraph
-    and the old-to-new id map.
+    set is unchanged and the graph stays connected; returns the deletion
+    test and the rotation rows left, in g's ids.
 
     The edges are tried once each, in the order of g's rows: by larger
     endpoint, then by position in that endpoint's rotation.  An edge
     passed over is felt or disconnects, and stays so in every later
     subgraph, so no later deletion makes it deletable.  The vertex scan
     restarts from the lowest id after each deletion, since a cut vertex
-    stops being one once its pendant neighbour goes.  The result is
-    critical whenever it exceeds the bare rings.
+    stops being one once its pendant neighbour goes.  The rows keep g's
+    set, so ``test.witness(rows)`` decides them critical with the test's
+    proofs and relation, trying the disconnecting deletions too.
     """
     if g.n > guard:
         raise TooLarge(f"{g.n} vertices exceeds guard {guard}")
@@ -698,7 +684,7 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
         for u in rot[v]:
             rot[u].remove(v)
         del rot[v]
-    return compress_rotations(rot, g.rings)
+    return test, rot
 
 
 # ---------------------------------------------------------------------------
@@ -709,13 +695,14 @@ def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
 @dataclass(frozen=True)
 class ChainDecomposition:
     """The cutting cycles, ring 1 first and ring 2 last; the n pieces
-    are the sub-cylinders between consecutive ones."""
+    are the sub-cylinders between consecutive ones (none when the rings
+    meet: no cycles)."""
 
     cutting_cycles: tuple[CycleRef, ...]
 
     @property
     def n(self) -> int:
-        return len(self.cutting_cycles) - 1
+        return max(len(self.cutting_cycles) - 1, 0)
 
 
 def _hole1_side(g: EmbeddedGraph, cyc: Cycle) -> frozenset[int]:
@@ -747,7 +734,8 @@ def chain_decompose(g: EmbeddedGraph) -> ChainDecomposition:
 
     Exact search over the non-contractible (<= 4)-cycles; every triangle
     must be a cutting cycle.  Falls back to the single trivial piece when
-    no interior cutting cycle exists.
+    no interior cutting cycle exists, and to no cycles at all when the
+    rings meet.
     """
     if len(g.rings) != 2:
         raise InvalidParameter("chain decomposition needs a cylinder")
@@ -759,7 +747,7 @@ def chain_decompose(g: EmbeddedGraph) -> ChainDecomposition:
     if set(ring1) & set(ring2):
         # end cycles must be disjoint (two 4-rings never fall under the
         # triangle exception), so no chain exists at all
-        raise InvalidParameter("rings share vertices; no chain exists")
+        return ChainDecomposition(())
     refs, sides = _chain_candidates(g)
     byc = {canon_cycle(r.vertices): r.vertices for r in refs}
     c0 = byc[canon_cycle(ring1)]
@@ -812,11 +800,14 @@ def chain_decompose(g: EmbeddedGraph) -> ChainDecomposition:
 
 
 def audit_chain(g: EmbeddedGraph, chain: ChainDecomposition) -> list[str]:
-    """Independent check of the five chain conditions; empty means valid."""
+    """Independent check of the five chain conditions; empty means valid.
+    A chain without cycles is valid exactly when the rings meet."""
     violations: list[str] = []
     cycles = [c.vertices for c in chain.cutting_cycles]
     n = len(cycles) - 1
     ring1, ring2 = g.rings
+    if not cycles:
+        return [] if set(ring1) & set(ring2) else ["no cutting cycles"]
     if canon_cycle(cycles[0]) != canon_cycle(ring1) or canon_cycle(cycles[-1]) != canon_cycle(ring2):
         violations.append("end cycles are not the rings")
     all_cycles = True
@@ -920,14 +911,16 @@ def _cut_step_mapped(g: EmbeddedGraph, d0: int, guard: int, audit: bool):
     by one scan of its (<= 4)-cycles and one BFS from each ring, which
     check its preconditions in order and feed ``_cut_route``.  A ladder
     result, or an identified one with a new short non-contractible cycle,
-    ends the loop; the loop steps from any other.  The audit compares
-    the result with g.
+    ends the loop; the loop steps from any other.  A result is decided
+    critical, as ``_cut_route`` says how, only when the loop steps from
+    it.  The audit compares the result with g.
     """
     cur, total, scan, d_in = g, {v: v for v in range(g.n)}, None, None
+    critical = lambda: is_critical(g, guard=guard).is_critical
     while True:
         if len(cur.rings) != 2 or any(len(r) > 4 for r in cur.rings):
             raise PreconditionFailed("rings: need a cylinder with rings of length <= 4")
-        if not is_critical(cur, guard=guard).is_critical:
+        if not critical():
             raise PreconditionFailed("critical: input graph is not critical")
         cycles, extra = scan or _short_cycles(cur)
         if any(len(c.vertices) == 3 and c.contractible for c in cycles):
@@ -944,9 +937,9 @@ def _cut_step_mapped(g: EmbeddedGraph, d0: int, guard: int, audit: bool):
         step = _cut_route(cur, d1, d2, d, guard)
         if step is None:
             raise PreconditionFailed("no identification or ladder step applies")
-        cur, moved, identified = step
+        cur, moved, critical = step
         total = {v: moved[w] for v, w in total.items() if w in moved}
-        scan = _short_cycles(cur) if identified else None
+        scan = _short_cycles(cur) if critical else None
         if scan is None or scan[1]:
             break
     if audit:
@@ -956,15 +949,17 @@ def _cut_step_mapped(g: EmbeddedGraph, d0: int, guard: int, audit: bool):
 
 def _cut_route(g: EmbeddedGraph, d1, d2, d: int, guard: int):
     """One step from g at ring distance d, its vertices at d1 and d2 from
-    the rings: the graph, the old-to-new id map and whether it was
-    identified, or None when no route applies.
+    the rings: the graph, the old-to-new id map and a call deciding an
+    identified graph critical (None for a ladder), or None when no route
+    applies.
 
     The identification route takes, face by face, the first diagonal of
     an internal 4-face at distance >= 3 from the rings and next to no
     longer face whose identification keeps d and builds (only those that
     keep d are built), and returns its maximal critical subgraph, with a
-    triangle pair collapsed when it is not tame.  The ladder route
-    contracts the staircase of a quadrangulated band.
+    triangle pair collapsed when it is not tame (then only
+    ``is_critical`` decides it).  The ladder route contracts the
+    staircase of a quadrangulated band.
     """
     fl = g.faces
     facelen_at = [0] * g.n
@@ -988,12 +983,14 @@ def _cut_route(g: EmbeddedGraph, d1, d2, d: int, guard: int):
                 g1, m1 = _identify_mapped(g, f, (a, b))
             except (MalformedRotation, DiagonalAdjacent, RingVertex):
                 continue
-            g2, m2 = _maximal_critical_mapped(g1, guard)
+            test, rows = _extract(g1, guard)
+            g2, m2 = compress_rotations(rows, g1.rings)
             moved = {v: m2[m1[v]] for v in range(g.n) if v in m1 and m1[v] in m2}
             if is_tame(g2):
-                return g2, moved, True
+                return g2, moved, lambda: test.witness(rows) is None
             g3, m3 = _collapse_best_pair(g2, m2.get(m1[a]))
-            return g3, {v: m3[w] for v, w in moved.items() if w in m3}, True
+            moved = {v: m3[w] for v, w in moved.items() if w in m3}
+            return g3, moved, lambda: is_critical(g3, guard).is_critical
 
     # ladder route: find a quadrangulated band and contract the staircase
     dmax = max(d1)
@@ -1008,7 +1005,7 @@ def _cut_route(g: EmbeddedGraph, d1, d2, d: int, guard: int):
         if len(qs) < 4 or any(len(q.vertices) < len(qs[0].vertices) for q in qs):
             continue
         try:
-            return (*_ladder_contract_mapped(g, qs[2].vertices, qs[3].vertices), False)
+            return (*_ladder_contract_mapped(g, qs[2].vertices, qs[3].vertices), None)
         except NotALadder:
             continue
     return None

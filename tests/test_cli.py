@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import pytest
@@ -143,6 +144,16 @@ def test_chain(capsys, monkeypatch):
     code, out, _ = run(capsys, ["chain"], stdin=emit_emg(cylinder_grid(4, 4)), monkeypatch=monkeypatch)
     assert code == 0
     assert out.splitlines()[0] == "chain n=3"
+
+
+def test_chain_when_rings_meet(capsys, monkeypatch):
+    # no chain exists, as census's chain=0 says: a legal answer, not an error
+    for n in ("1", "2"):
+        code, text, _ = run(capsys, ["gen", "--family", "reduced", "--n", n])
+        code, out, err = run(capsys, ["chain"], stdin=text, monkeypatch=monkeypatch)
+        assert (code, out, err) == (0, "chain n=0\n", ""), n
+        code, out, _ = run(capsys, ["census", "--family", "stdin"], stdin=text, monkeypatch=monkeypatch)
+        assert out.endswith(" chain=0\n"), n
 
 
 def test_identify_pipe(capsys, monkeypatch):
@@ -621,3 +632,64 @@ def test_exit_code_contract_on_fuzzed_arguments(text, argv):
     guards = [int(v) for flag, v in zip(argv, argv[1:]) if flag == "--guard"]
     if guards and (argv[0] in _SWEEP_VERBS or min(guards) < 0):
         assert code == 2 and "argument" in err.getvalue(), argv
+
+
+# -- exit-code contract under fuzzed paths ----------------------------------------
+
+# the path flags, each with the kinds of path it takes and still succeeds:
+# a file to read must exist, a file to write may be new, and gen makes
+# the --out-dir directory with its parents
+_PATH_OK = {
+    "--in": {"valid"},
+    "--other": {"valid"},
+    "--out": {"valid", "missing", "non-ascii"},
+    "--out-dir": {"missing", "directory", "under-missing"},
+}
+_PATH = st.sampled_from(["valid", "missing", "directory", "under-missing", "non-ascii"])
+_PATH_ARGV = st.one_of(
+    _argv("faces", _opt("--in", _PATH), _opt("--out", _PATH)),
+    _argv("dominates", _PATH.map(lambda k: ["--other", k]), _opt("--in", _PATH), _opt("--out", _PATH)),
+    _argv("census", st.just(["--family", "stdin"]), _opt("--in", _PATH), _opt("--out", _PATH)),
+    _argv("gen", st.just(["--family", "thomas-walls"]), _opt("--out", _PATH), _opt("--out-dir", _PATH)),
+)
+
+
+def _make_path(kind: str, root: str, i: int, text: str) -> str:
+    """A path of the given kind under ``root``, named by ``i``."""
+    path = os.path.join(root, str(i))
+    if kind == "valid":
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    elif kind == "non-ascii":
+        with open(path, "wb") as fh:
+            fh.write(text.replace("rings", "# caf\u00e9\nrings", 1).encode("utf-8"))
+    elif kind == "directory":
+        os.mkdir(path)
+    elif kind == "under-missing":
+        path = os.path.join(path, "g.emg")
+    return path
+
+
+@given(st.sampled_from(_FUZZ_SEEDS), _PATH_ARGV)
+@settings(max_examples=150, deadline=None)
+def test_exit_code_contract_on_fuzzed_paths(text, argv):
+    # a path that cannot be read, or written to, is exit 2 with an error
+    # line and no traceback
+    drawn = dict(zip(argv[1::2], argv[2::2]))  # argparse keeps a flag's last value
+    if "--out-dir" in drawn:
+        drawn.pop("--out", None)  # gen writes the files, not the stream
+    fine = all(kind in _PATH_OK[flag] for flag, kind in drawn.items() if flag in _PATH_OK)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as root:
+        real = [
+            _make_path(t, root, i, text) if i and argv[i - 1] in _PATH_OK else t
+            for i, t in enumerate(argv)
+        ]
+        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(real)
+    assert "Traceback" not in err.getvalue()
+    if fine:
+        assert code in (0, 1), (argv, err.getvalue())
+    else:
+        assert code == 2 and err.getvalue().startswith("error: "), (argv, code)

@@ -23,6 +23,7 @@ from cylcolor.embedding import (
     parse_emg_stream,
     relabel,
     trace_faces,
+    _cycles_up_to,
 )
 from cylcolor.errors import (
     EMGParseError,
@@ -363,6 +364,17 @@ def test_cycle_oracle_on_corpus():
     for name, g in fixtures.cylinder_corpus():
         got = {r.vertices for r in enumerate_short_cycles(g, 5)}
         assert got == nx_cycles(g, 5), name
+
+
+def test_cycles_up_to_every_length_match_oracle():
+    # the last vertex of a path is taken only next to its root: the
+    # pruned search must still find every cycle of each length bound
+    graphs = [g for _, g in fixtures.cylinder_corpus()]
+    graphs += [fixtures.penta_tube(k) for k in range(3, 7)]
+    graphs += [cylinder_grid(6, 6), reduced_thomas_walls(10)[0]]
+    for i, g in enumerate(graphs):
+        for max_len in range(3, 7):
+            assert set(_cycles_up_to(g, max_len)) == nx_cycles(g, max_len), (i, max_len)
 
 
 def test_enumeration_order_deterministic():
