@@ -11,7 +11,6 @@ from .embedding import (
     is_tame,
     parse_emg,
     parse_emg_stream,
-    trace_faces,
 )
 from .coloring import (
     ExtendableSet,
@@ -41,7 +40,6 @@ __all__ = [
     "is_tame",
     "parse_emg",
     "parse_emg_stream",
-    "trace_faces",
 ]
 
 __version__ = "0.1.0"

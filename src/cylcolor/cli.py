@@ -23,7 +23,6 @@ from .embedding import (
     emit_emg,
     parse_emg,
     parse_emg_stream,
-    trace_faces,
 )
 from .errors import (
     CatalogTooSmall,
@@ -210,7 +209,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_faces(args) -> int:
     g = _load(args.input)
-    fl = trace_faces(g)
+    fl = g.faces
     stats = analysis.face_deficiency(g)
     lines = []
     for i, f in enumerate(fl.faces):
@@ -227,7 +226,7 @@ def _cmd_chain(args) -> int:
     cd = surgery.chain_decompose(g)
     lines = [f"chain n={cd.n}"]
     for i, c in enumerate(cd.cutting_cycles):
-        lines.append(f"cycle {i}: " + " ".join(map(str, c.vertices)))
+        lines.append(f"cycle {i}: " + " ".join(map(str, c)))
     _write("\n".join(lines) + "\n", args.out)
     violations = surgery.audit_chain(g, cd)
     return 1 if violations else 0

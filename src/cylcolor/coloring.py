@@ -449,15 +449,6 @@ def dominates(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
     return _extendable(g1) <= _extendable(g2)
 
 
-def members_over(g: EmbeddedGraph, order: Sequence[int]) -> frozenset[tuple[int, ...]]:
-    """Extendable ring precolorings as tuples over an explicit vertex order."""
-    if set(order) != set(g.ring_vertices):
-        raise RingMismatch("order must list exactly the ring vertices")
-    if not g.rings:
-        raise NoRings("graph has no rings")
-    return _members(_sweep(g), order)
-
-
 def dominates_under(
     g1: EmbeddedGraph, g2: EmbeddedGraph, vertex_map: Mapping[int, int]
 ) -> bool:
@@ -475,4 +466,4 @@ def dominates_under(
     if mapped != _ring_signature(g1):
         raise RingMismatch("vertex map does not carry rings onto rings")
     order = [vertex_map[v] for v in sorted(g2.ring_vertices)]
-    return members_over(g1, order) <= _extendable(g2)
+    return _members(_sweep(g1), order) <= _extendable(g2)

@@ -55,9 +55,6 @@ class CycleRef:
     vertices: Cycle
     contractible: bool
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
 
 def _trace(rotations: Sequence[Sequence[int]]) -> tuple[tuple[Cycle, ...], dict]:
     """Trace all faces; returns (faces, dart -> face index)."""
@@ -183,9 +180,6 @@ class EmbeddedGraph:
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rotations[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
@@ -219,15 +213,6 @@ class EmbeddedGraph:
 
 
 # -- map operations -------------------------------------------------------
-
-
-def trace_faces(g: EmbeddedGraph) -> FaceList:
-    """All face walks of g, with hole faces identified.
-
-    Face tracing is performed (and Euler-checked) at construction time;
-    this simply exposes the result.
-    """
-    return g.faces
 
 
 def _check_cycle(g: EmbeddedGraph, cycle: Sequence[int]) -> Cycle:
@@ -418,12 +403,6 @@ def is_tame(g: EmbeddedGraph) -> bool:
                     return False
                 used.update((u, v, w))
     return True
-
-
-def make_cycle(g: EmbeddedGraph, vertices: Sequence[int]) -> CycleRef:
-    """Wrap a vertex sequence as a CycleRef of g."""
-    cyc = _check_cycle(g, vertices)
-    return CycleRef(cyc, is_contractible(g, cyc))
 
 
 def relabel(g: EmbeddedGraph, perm: Sequence[int]) -> EmbeddedGraph:

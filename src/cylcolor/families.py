@@ -100,18 +100,6 @@ def _isomorph_free(maps: Iterable[EmbeddedGraph | _Table]) -> list[EmbeddedGraph
 # ---------------------------------------------------------------------------
 
 
-def _k4() -> EmbeddedGraph:
-    return EmbeddedGraph(((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)))
-
-
-def _c4_two_holes() -> tuple[EmbeddedGraph, Cycle, Cycle]:
-    g = EmbeddedGraph(
-        ((2, 3), (2, 3), (0, 1), (0, 1)),
-        rings=((0, 2, 1, 3), (2, 0, 3, 1)),
-    )
-    return g, (0, 2, 1, 3), (2, 0, 3, 1)
-
-
 def _attach_gadget(rot: list[list[int]], walk: Cycle, u: int, v: int, x: int, y: int, z: int) -> Cycle:
     """Grow the chain by one gadget inside the hole face `walk`.
 
@@ -145,7 +133,7 @@ def reduced_thomas_walls(n: int) -> tuple[EmbeddedGraph, InterfacePairs]:
     if n < 1:
         raise InvalidParameter("n must be >= 1")
     if n == 1:
-        g, _, _ = _c4_two_holes()
+        g = EmbeddedGraph(((2, 3), (2, 3), (0, 1), (0, 1)), rings=((0, 2, 1, 3), (2, 0, 3, 1)))
         return g, InterfacePairs((0, 1), (2, 3))
     rot: list[list[int]] = [[2, 3], [2, 3], [0, 1], [0, 1]]
     walk: Cycle = (2, 0, 3, 1)  # second hole face of the starting 4-cycle
@@ -177,7 +165,7 @@ def thomas_walls(n: int) -> EmbeddedGraph:
     if n < 1:
         raise InvalidParameter("n must be >= 1")
     if n == 1:
-        return _k4()
+        return EmbeddedGraph(((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)))
     g, pairs = reduced_thomas_walls(n)
     rot = [list(r) for r in g.rotations]
     faces = g.faces
@@ -883,18 +871,23 @@ class FramedRecipe:
     choices: tuple[tuple[bool, bool], tuple[bool, bool]]
 
 
+def _patched_chain(
+    base: EmbeddedGraph, pairs: InterfacePairs, placements
+) -> tuple[EmbeddedGraph, InterfacePairs]:
+    """``base`` with ``placements`` patched in, and ``pairs`` renumbered to match."""
+    if not placements:
+        return base, pairs
+    patched, remap = _patch_graph_mapped(base, placements)
+    return patched, InterfacePairs(
+        (remap[pairs.first[0]], remap[pairs.first[1]]),
+        (remap[pairs.second[0]], remap[pairs.second[1]]),
+    )
+
+
 def build_framed_patched(recipe: FramedRecipe) -> EmbeddedGraph:
     base, pairs = reduced_thomas_walls(recipe.n)
     placements = [(v, parse_emg(text)) for v, text in recipe.placements]
-    if placements:
-        patched, remap = _patch_graph_mapped(base, placements)
-        pairs = InterfacePairs(
-            (remap[pairs.first[0]], remap[pairs.first[1]]),
-            (remap[pairs.second[0]], remap[pairs.second[1]]),
-        )
-    else:
-        patched = base
-    return frame(patched, pairs, recipe.choices)
+    return frame(*_patched_chain(base, pairs, placements), recipe.choices)
 
 
 def _independent_subsets(g: EmbeddedGraph, verts: list[int]) -> list[tuple[int, ...]]:
@@ -907,7 +900,7 @@ def _independent_subsets(g: EmbeddedGraph, verts: list[int]) -> list[tuple[int, 
 
 
 def enumerate_framed_patched(
-    max_vertices: int, patch_bound: int | None = None, above: int = 0
+    max_vertices: int, patch_bound: int, above: int = 0
 ) -> Iterable[tuple[EmbeddedGraph, FramedRecipe]]:
     """Every framed patched chain graph within the given bounds.
 
@@ -929,9 +922,7 @@ def enumerate_framed_patched(
             if v not in base.ring_vertices and base.degree(v) == 3
         )
         budget_all = max_vertices - base.n
-        cap = budget_all - 2
-        if patch_bound is not None:
-            cap = min(cap, patch_bound)
+        cap = min(budget_all - 2, patch_bound)
         pool: list[tuple[EmbeddedGraph, int, str]] = []
         if cap >= 1 and placeable:
             for patch in generate_patches(cap):
@@ -956,14 +947,7 @@ def enumerate_framed_patched(
                     continue
                 placements = [(v, p) for v, (p, _, _) in zip(subset, combo)]
                 texts = tuple((v, t) for v, (_, _, t) in zip(subset, combo))
-                if placements:
-                    patched, remap = _patch_graph_mapped(base, placements)
-                    mapped = InterfacePairs(
-                        (remap[pairs.first[0]], remap[pairs.first[1]]),
-                        (remap[pairs.second[0]], remap[pairs.second[1]]),
-                    )
-                else:
-                    patched, mapped = base, pairs
+                patched, mapped = _patched_chain(base, pairs, placements)
                 for ch1 in FRAME_CHOICES:
                     for ch2 in FRAME_CHOICES:
                         extra = sum(ch1) + sum(ch2)

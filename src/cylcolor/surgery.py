@@ -147,7 +147,7 @@ def _identify_mapped(
 
 
 def identify_across_face(
-    g: EmbeddedGraph, face: Sequence[int], diagonal: str | tuple[int, int] = "13"
+    g: EmbeddedGraph, face: Sequence[int], diagonal: str = "13"
 ) -> EmbeddedGraph:
     """Identify opposite corners of an internal 4-face into one vertex.
 
@@ -166,15 +166,15 @@ def identify_across_face(
 
 
 def identify_across_face_mapped(
-    g: EmbeddedGraph, face: Sequence[int], diagonal: str | tuple[int, int] = "13"
+    g: EmbeddedGraph, face: Sequence[int], diagonal: str = "13"
 ) -> tuple[EmbeddedGraph, dict[int, int]]:
     """identify_across_face plus the old-to-new vertex id map."""
     face = tuple(face)
     if len(face) != 4:
         raise NotAFace(f"{face} is not a 4-face")
-    if diagonal in ("13", (1, 3)):
+    if diagonal == "13":
         pair = (face[0], face[2])
-    elif diagonal in ("24", (2, 4)):
+    elif diagonal == "24":
         pair = (face[1], face[3])
     else:
         raise InvalidParameter(f"bad diagonal {diagonal!r}")
@@ -186,25 +186,11 @@ def identify_across_face_mapped(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistanceClasses:
-    """Vertex sets by exact distance from a ring."""
-
-    classes: tuple[frozenset[int], ...]
-
-    def __getitem__(self, a: int) -> frozenset[int]:
-        return self.classes[a]
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-def distance_classes(g: EmbeddedGraph, ring_index: int = 0) -> DistanceClasses:
-    """Exact BFS layering from the chosen ring."""
-    if not 0 <= ring_index < len(g.rings):
-        raise InvalidParameter(f"no ring {ring_index}")
-    layers = bfs_layers(g.rotations, g.rings[ring_index])
-    return DistanceClasses(tuple(map(frozenset, layers)))
+def distance_classes(g: EmbeddedGraph) -> tuple[frozenset[int], ...]:
+    """The vertex sets at each exact distance from ring 1."""
+    if not g.rings:
+        raise InvalidParameter("no ring to measure distance from")
+    return tuple(map(frozenset, bfs_layers(g.rotations, g.rings[0])))
 
 
 def _separates(
@@ -215,12 +201,12 @@ def _separates(
     return all(dst.isdisjoint(layer) for layer in bfs_layers(g.rotations, a, cut))
 
 
-def shortest_layer_cycle(g: EmbeddedGraph, a: int, ring_index: int = 0) -> CycleRef:
-    """Shortest non-contractible cycle with all vertices at distance a.
+def shortest_layer_cycle(g: EmbeddedGraph, a: int) -> Cycle:
+    """Shortest non-contractible cycle with all vertices at distance a from ring 1.
 
     Ties are broken lexicographically; the result is induced.
     """
-    layers = distance_classes(g, ring_index)
+    layers = distance_classes(g)
     if not 0 <= a < len(layers):
         raise NoSuchCycle(f"no vertices at distance {a}")
     layer = layers[a]
@@ -237,7 +223,7 @@ def shortest_layer_cycle(g: EmbeddedGraph, a: int, ring_index: int = 0) -> Cycle
             k = len(best)  # a chord joins i and j > i + 1, but not 0 and k - 1
             if any(g.has_edge(best[i], best[j]) for i in range(k) for j in range(i + 2, k - (i == 0))):
                 raise AuditFailed(f"shortest layer cycle {best} has a chord")
-            return CycleRef(best, False)
+            return best
     raise NoSuchCycle(f"no non-contractible cycle inside layer {a}")
 
 
@@ -256,7 +242,7 @@ def _align_layers(g: EmbeddedGraph, xs: Cycle, ys: Cycle) -> Cycle:
     raise NotALadder("layer cycles have no aligned rung matching")
 
 
-def ladder_contract(g: EmbeddedGraph, q2: CycleRef | Sequence[int], q3: CycleRef | Sequence[int]) -> EmbeddedGraph:
+def ladder_contract(g: EmbeddedGraph, q2: Sequence[int], q3: Sequence[int]) -> EmbeddedGraph:
     """The graph with the staircase between layer cycles q2 and q3
     identified (``_ladder_contract_mapped``), ids compressed in order.
 
@@ -274,8 +260,8 @@ def _ladder_contract_mapped(g, q2, q3) -> tuple[EmbeddedGraph, dict[int, int]]:
     x_{k-3} when k is even and x_{k-2} when k is odd, realized as a
     sequence of diagonal identifications across the rung 4-faces.
     """
-    xs = tuple(q2.vertices if isinstance(q2, CycleRef) else q2)
-    ys_raw = tuple(q3.vertices if isinstance(q3, CycleRef) else q3)
+    xs = tuple(q2)
+    ys_raw = tuple(q3)
     k = len(xs)
     if k != len(ys_raw) or k < 4:
         raise NotALadder("layer cycles must have equal length >= 4")
@@ -313,7 +299,7 @@ def _ladder_contract_mapped(g, q2, q3) -> tuple[EmbeddedGraph, dict[int, int]]:
 
 
 def collapse_triangle_pair(
-    g: EmbeddedGraph, t1: CycleRef | Sequence[int], t2: CycleRef | Sequence[int]
+    g: EmbeddedGraph, t1: Sequence[int], t2: Sequence[int]
 ) -> EmbeddedGraph:
     """The graph with the region between two non-contractible triangles
     sharing one vertex removed and the triangles glued
@@ -336,8 +322,8 @@ def _collapse_mapped(g, t1, t2) -> tuple[EmbeddedGraph, dict[int, int]]:
     become digons; a further common neighbour of a glued pair is a lens
     and keeps the edge of p1 or q1 (see ``_merge``).
     """
-    c1 = tuple(t1.vertices if isinstance(t1, CycleRef) else t1)
-    c2 = tuple(t2.vertices if isinstance(t2, CycleRef) else t2)
+    c1 = tuple(t1)
+    c2 = tuple(t2)
     for c in (c1, c2):
         if len(c) != 3 or not all(
             g.has_edge(c[i], c[(i + 1) % 3]) for i in range(3)
@@ -698,7 +684,7 @@ class ChainDecomposition:
     are the sub-cylinders between consecutive ones (none when the rings
     meet: no cycles)."""
 
-    cutting_cycles: tuple[CycleRef, ...]
+    cutting_cycles: tuple[Cycle, ...]
 
     @property
     def n(self) -> int:
@@ -719,7 +705,7 @@ def _chain_candidates(g: EmbeddedGraph):
     return refs, {r.vertices: _hole1_side(g, r.vertices) for r in refs}
 
 
-def _exception_ok(g, x: Cycle, y: Cycle, ring1: Cycle, ring2: Cycle) -> bool:
+def _exception_ok(x: Cycle, y: Cycle, ring1: Cycle, ring2: Cycle) -> bool:
     if not (set(x) & set(y)):
         return True
     if canon_cycle(x) == canon_cycle(ring1) and len(x) == 4 and len(y) == 3:
@@ -762,8 +748,8 @@ def chain_decompose(g: EmbeddedGraph) -> ChainDecomposition:
             if m == v or not (set(m) & set(v)):
                 continue
             if not (
-                _exception_ok(g, v, m, ring1, ring2)
-                or _exception_ok(g, m, v, ring1, ring2)
+                _exception_ok(v, m, ring1, ring2)
+                or _exception_ok(m, v, ring1, ring2)
             ):
                 ok = False
                 break
@@ -775,7 +761,7 @@ def chain_decompose(g: EmbeddedGraph) -> ChainDecomposition:
     def edge_ok(x: Cycle, y: Cycle) -> bool:
         if not sides[x] < sides[y]:
             return False
-        if not _exception_ok(g, x, y, ring1, ring2):
+        if not _exception_ok(x, y, ring1, ring2):
             return False
         for i, m in enumerate(mandatory):
             if m in (x, y):
@@ -796,14 +782,17 @@ def chain_decompose(g: EmbeddedGraph) -> ChainDecomposition:
                 best[y] = (lx + 1, px + (y,))
     if cn not in best:
         raise AuditFailed("no valid chain found")
-    return ChainDecomposition(tuple(CycleRef(c, False) for c in best[cn][1]))
+    return ChainDecomposition(best[cn][1])
 
 
 def audit_chain(g: EmbeddedGraph, chain: ChainDecomposition) -> list[str]:
     """Independent check of the five chain conditions; empty means valid.
-    A chain without cycles is valid exactly when the rings meet."""
+    A chain without cycles is valid exactly when the rings meet.  Raises
+    InvalidParameter unless g has two rings."""
+    if len(g.rings) != 2:
+        raise InvalidParameter("chain audit needs a cylinder")
     violations: list[str] = []
-    cycles = [c.vertices for c in chain.cutting_cycles]
+    cycles = chain.cutting_cycles
     n = len(cycles) - 1
     ring1, ring2 = g.rings
     if not cycles:
@@ -1002,10 +991,10 @@ def _cut_route(g: EmbeddedGraph, d1, d2, d: int, guard: int):
             qs = [shortest_layer_cycle(g, a) for a in range(b, top)]
         except NoSuchCycle:
             continue
-        if len(qs) < 4 or any(len(q.vertices) < len(qs[0].vertices) for q in qs):
+        if len(qs) < 4 or any(len(q) < len(qs[0]) for q in qs):
             continue
         try:
-            return (*_ladder_contract_mapped(g, qs[2].vertices, qs[3].vertices), None)
+            return (*_ladder_contract_mapped(g, qs[2], qs[3]), None)
         except NotALadder:
             continue
     return None

@@ -118,7 +118,7 @@ def all_rotation_systems(G: nx.Graph):
     cyclic order exactly once.
     """
     verts = sorted(G.nodes)
-    nbrs = {v: sorted(G.neighbors(v)) for v in verts}
+    nbrs = {v: sorted(G[v]) for v in verts}
 
     def perms(rest):
         if not rest:

@@ -31,7 +31,7 @@ from cylcolor.coloring import (
     dominates_under,
     extend,
 )
-from cylcolor.embedding import is_tame, relabel, trace_faces
+from cylcolor.embedding import is_tame, relabel
 from cylcolor.errors import DiagonalAdjacent, RingVertex
 from cylcolor.families import (
     build_framed_patched,
@@ -153,7 +153,7 @@ def test_criterion_3_identification_domination():
     skipped_ring_pairs = 0
     skipped_adjacent = 0
     for name, g in fixtures.cylinder_corpus():
-        fl = trace_faces(g)
+        fl = g.faces
         quads = [
             f
             for i, f in enumerate(fl.faces)
@@ -220,7 +220,7 @@ def test_criterion_4_family_round_trips(quad_corpus, framed_matrix):
     patch_ok = len(patches) == 74
     for p in patches:
         ring = p.rings[0]
-        fl = trace_faces(p)
+        fl = p.faces
         patch_ok &= all(
             len(f) == 4 for i, f in enumerate(fl.faces) if i not in fl.ring_faces
         )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cylcolor
 from cylcolor import analysis
 from cylcolor._canon import canonical_form
 from cylcolor.analysis import (
@@ -47,6 +48,14 @@ from oracles import (
     reference_is_contractible,
     reference_is_critical,
 )
+
+
+# -- exports ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", [cylcolor, analysis], ids=lambda m: m.__name__)
+def test_every_export_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 # -- criticality ------------------------------------------------------------------

@@ -158,10 +158,9 @@ def test_chain_when_rings_meet(capsys, monkeypatch):
 
 def test_identify_pipe(capsys, monkeypatch):
     from cylcolor.families import cylinder_grid
-    from cylcolor.embedding import trace_faces
 
     g = cylinder_grid(4, 3)
-    fl = trace_faces(g)
+    fl = g.faces
     quad = next(
         f for i, f in enumerate(fl.faces) if len(f) == 4 and i not in fl.ring_faces
     )

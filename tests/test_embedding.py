@@ -18,11 +18,9 @@ from cylcolor.embedding import (
     enumerate_short_cycles,
     is_contractible,
     is_tame,
-    make_cycle,
     parse_emg,
     parse_emg_stream,
     relabel,
-    trace_faces,
     _cycles_up_to,
 )
 from cylcolor.errors import (
@@ -142,21 +140,21 @@ def test_rejects_three_rings():
 
 
 def test_k4_faces():
-    fl = trace_faces(fixtures.k4())
+    fl = fixtures.k4().faces
     assert sorted(len(f) for f in fl.faces) == [3, 3, 3, 3]
     assert fl.ring_faces == ()
 
 
 def test_prism_faces():
     g = fixtures.prism()
-    fl = trace_faces(g)
+    fl = g.faces
     assert sorted(len(f) for f in fl.faces) == [3, 3, 4, 4, 4]
     holes = {canon_cycle(fl.faces[i]) for i in fl.ring_faces}
     assert holes == {canon_cycle((0, 1, 2)), canon_cycle((3, 4, 5))}
 
 
 def test_c4_disk_faces():
-    fl = trace_faces(fixtures.c4_disk())
+    fl = fixtures.c4_disk().faces
     assert sorted(len(f) for f in fl.faces) == [4, 4]
     assert len(fl.ring_faces) == 1
 
@@ -177,7 +175,7 @@ def test_prism_ring_noncontractible():
 
 def test_grid_face_contractible():
     g = cylinder_grid(4, 3)
-    fl = trace_faces(g)
+    fl = g.faces
     quad = next(
         f
         for i, f in enumerate(fl.faces)
@@ -281,7 +279,7 @@ def test_traversals_match_networkx():
         G = to_nx(g)
         ring1, ring_vs = sorted(g.rings[0]), g.ring_vertices
         layers = [set(layer) for layer in nx.bfs_layers(G, ring1)]
-        assert [set(c) for c in distance_classes(g, 0).classes] == layers
+        assert [set(c) for c in distance_classes(g)] == layers
         assert _sweep_order(g.rotations, ring1) == [v for s in layers for v in sorted(s)]
 
         to_ring = nx.multi_source_dijkstra_path_length(G, ring_vs)
@@ -427,10 +425,10 @@ def test_relabel_roundtrip():
     assert relabel(h, inverse) == g
 
 
-def test_make_cycle_tags():
+def test_prism_side_quad_contractible():
     g = fixtures.prism()
-    assert make_cycle(g, (0, 1, 2)).contractible is False
-    assert make_cycle(g, (0, 1, 4, 3)).contractible is True
+    assert is_contractible(g, (0, 1, 4, 3))
+    assert not is_contractible(g, (0, 1, 2))
 
 
 # -- EMG format ---------------------------------------------------------------

@@ -18,7 +18,6 @@ from cylcolor.embedding import (
     enumerate_short_cycles,
     is_tame,
     parse_emg_stream,
-    trace_faces,
 )
 from cylcolor import families
 from cylcolor.errors import (
@@ -169,7 +168,7 @@ def test_patches_validate():
             for j in range(i + 2, 6):
                 if (i, j) != (0, 5):
                     assert not patch.has_edge(ring[i], ring[j])
-        fl = trace_faces(patch)
+        fl = patch.faces
         for i, f in enumerate(fl.faces):
             if i not in fl.ring_faces:
                 assert len(f) == 4
@@ -229,7 +228,7 @@ def test_patch_graph_hub():
     pg = patch_graph(g, [(4, hub)])
     assert pg.n == g.n + 3
     assert enumerate_short_cycles(pg, 3) == []  # stays triangle-free
-    fl = trace_faces(pg)
+    fl = pg.faces
     assert sorted(len(f) for f in fl.faces).count(4) >= 5
 
 
@@ -319,10 +318,10 @@ def test_frame_preserves_interior_faces():
     f = frame(g, pairs, ((True, True), (True, False)))
     old_internal = {
         canon_cycle(face)
-        for i, face in enumerate(trace_faces(g).faces)
-        if i not in trace_faces(g).ring_faces
+        for i, face in enumerate(g.faces.faces)
+        if i not in g.faces.ring_faces
     }
-    new_faces = {canon_cycle(face) for face in trace_faces(f).faces}
+    new_faces = {canon_cycle(face) for face in f.faces.faces}
     assert old_internal <= new_faces
 
 
@@ -444,7 +443,7 @@ def test_cut_pruned_filling_counts(n, fillings):
 def test_quad33_members_validate():
     for q in generate_quad33(8):
         assert is_quad33(q)
-        fl = trace_faces(q)
+        fl = q.faces
         for i, f in enumerate(fl.faces):
             assert len(f) % 2 == 0 or i in fl.ring_faces
         triangles = enumerate_short_cycles(q, 3)
@@ -558,7 +557,7 @@ def test_near_quad_single_subdivision():
     g = fixtures.prism()
     out = near_quad33(g, ((0, 1), None))
     assert sorted(len(r) for r in out.rings) == [3, 4]
-    fl = trace_faces(out)
+    fl = out.faces
     assert sorted(len(f) for f in fl.faces if len(f) == 5) == [5]
 
 
@@ -617,7 +616,7 @@ def test_grid_matches_prism():
 
 def test_grid_faces():
     g = cylinder_grid(4, 3)
-    fl = trace_faces(g)
+    fl = g.faces
     assert sorted(len(f) for f in fl.faces) == [4] * 10
     assert len(fl.ring_faces) == 2
 

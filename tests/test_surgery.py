@@ -20,19 +20,19 @@ from cylcolor.coloring import (
     Precoloring,
     dominates_under,
     extend,
-    members_over,
+    extendable_set,
 )
 from cylcolor.embedding import (
-    CycleRef,
     EmbeddedGraph,
     canon_cycle,
     distance,
     emit_emg,
     enumerate_short_cycles,
+    is_contractible,
+    is_tame,
     parse_emg_stream,
     relabel,
     rotation_system_from_faces,
-    trace_faces,
 )
 from cylcolor.errors import (
     CylColorError,
@@ -48,8 +48,9 @@ from cylcolor.errors import (
     PreconditionFailed,
     RingVertex,
 )
-from cylcolor.families import cylinder_grid, frame, reduced_thomas_walls
+from cylcolor.families import cylinder_grid, frame, generate_near_quad33, reduced_thomas_walls
 from cylcolor.surgery import (
+    ChainDecomposition,
     audit_chain,
     chain_decompose,
     collapse_triangle_pair,
@@ -75,7 +76,7 @@ from oracles import (
 
 
 def internal_quads(g: EmbeddedGraph):
-    fl = trace_faces(g)
+    fl = g.faces
     return [
         f for i, f in enumerate(fl.faces) if len(f) == 4 and i not in fl.ring_faces
     ]
@@ -114,7 +115,7 @@ def test_identify_merges_parallel_edge():
     out = identify_across_face(g, (0, 1, 2, 3), "13")
     assert out.n == 4 and out.edge_count == 3
     assert all(len(set(r)) == len(r) for r in out.rotations)
-    assert sorted(out.neighbors(0)) == [1, 2, 3]  # the merged hub
+    assert sorted(out.rotations[0]) == [1, 2, 3]  # the merged hub
     # vertex 4 is a lens: the merged vertex keeps its own edge to it, not
     # the dropped vertex 2's, so the hub turns as vertex 0 did
     out, remap = identify_across_face_mapped(g, (0, 1, 2, 3), "13")
@@ -163,7 +164,7 @@ def _diagonals(f):
 def _is_lens(g: EmbeddedGraph, face, pair) -> bool:
     """Do the ends of the diagonal have a common neighbour off the face?"""
     a, b = pair
-    return bool(set(g.neighbors(a)) & set(g.neighbors(b)) - set(face))
+    return bool(set(g.rotations[a]) & set(g.rotations[b]) - set(face))
 
 
 def test_identify_matches_networkx_contraction():
@@ -267,38 +268,35 @@ def test_lens_identification_is_label_independent(rotations, face, diagonal):
 
 
 def test_distance_classes_prism():
-    dc = distance_classes(fixtures.prism(), 0)
-    assert dc.classes == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+    dc = distance_classes(fixtures.prism())
+    assert dc == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
 
 
 def test_distance_classes_grid():
-    dc = distance_classes(cylinder_grid(4, 5), 0)
-    assert len(dc) == 5
-    for a in range(5):
-        assert dc[a] == frozenset(range(4 * a, 4 * a + 4))
-    for ring_index in (-1, -3, 2):
-        with pytest.raises(InvalidParameter):
-            distance_classes(cylinder_grid(4, 5), ring_index)
+    dc = distance_classes(cylinder_grid(4, 5))
+    assert dc == tuple(frozenset(range(4 * a, 4 * a + 4)) for a in range(5))
+    with pytest.raises(InvalidParameter):
+        distance_classes(fixtures.k4())  # no ring to measure from
 
 
 def test_shortest_layer_cycle_grid():
     g = cylinder_grid(4, 7)
     q = shortest_layer_cycle(g, 3)
-    assert canon_cycle(q.vertices) == canon_cycle(tuple(range(12, 16)))
-    assert not q.contractible
+    assert canon_cycle(q) == canon_cycle(tuple(range(12, 16)))
+    assert not is_contractible(g, q)
 
 
 def test_shortest_layer_cycle_hex_grid():
     g = cylinder_grid(6, 7)
     q = shortest_layer_cycle(g, 3)
-    assert len(q.vertices) == 6
-    assert set(q.vertices) == set(range(18, 24))
+    assert len(q) == 6
+    assert set(q) == set(range(18, 24))
 
 
 def test_shortest_layer_cycle_at_ring():
     g = cylinder_grid(4, 5)
     q = shortest_layer_cycle(g, 0)
-    assert canon_cycle(q.vertices) == canon_cycle(g.rings[0])
+    assert canon_cycle(q) == canon_cycle(g.rings[0])
 
 
 def test_shortest_layer_cycle_missing():
@@ -386,7 +384,7 @@ def test_collapse_back_extension():
 
     g = fixtures.shared_vertex_quad33()
     out, remap = _collapse_mapped(g, (0, 1, 2), (0, 3, 4))
-    for member in members_over(out, tuple(sorted(out.ring_vertices))):
+    for member in extendable_set(out).members:
         coloring = dict(zip(sorted(out.ring_vertices), member))
         pulled = {v: coloring[remap[v]] for v in range(g.n) if v in remap}
         assert brute_extends(g, pulled)
@@ -867,7 +865,7 @@ def test_chain_prism_triangles_are_cuts():
     g = fixtures.prism()
     cd = chain_decompose(g)
     assert audit_chain(g, cd) == []
-    assert {canon_cycle(c.vertices) for c in cd.cutting_cycles} >= {
+    assert {canon_cycle(c) for c in cd.cutting_cycles} >= {
         canon_cycle((0, 1, 2)),
         canon_cycle((3, 4, 5)),
     }
@@ -898,10 +896,10 @@ def test_audit_chain_reports_tampered_chains():
     cycles[1], cycles[2] = cycles[2], cycles[1]
     swapped = audit_chain(g, replace(cd, cutting_cycles=tuple(cycles)))
     assert "cycle 1 fails to separate 0 from 2" in swapped
-    a, b, c, _ = cd.cutting_cycles[2].vertices
+    a, b, c, _ = cd.cutting_cycles[2]
     for bad in ((a, b, c), (a, b, g.n)):  # a missing edge, a vertex out of range
         cycles = list(cd.cutting_cycles)
-        cycles[2] = CycleRef(bad, False)
+        cycles[2] = bad
         broken = audit_chain(g, replace(cd, cutting_cycles=tuple(cycles)))
         assert f"{bad} is not a cycle" in broken
 
@@ -920,6 +918,32 @@ def test_chain_is_empty_when_rings_meet():
     # an empty chain of a cylinder whose rings are apart is no chain
     g = cylinder_grid(4, 3)
     assert audit_chain(g, replace(chain_decompose(g), cutting_cycles=())) == ["no cutting cycles"]
+
+
+def test_audit_chain_rejects_non_cylinders():
+    g = cylinder_grid(4, 3)
+    for h in (g.with_rings(g.rings[:1]), fixtures.k4()):
+        with pytest.raises(InvalidParameter):
+            audit_chain(h, ChainDecomposition(()))
+
+
+def test_chain_exception_on_near_quad33():
+    # the tame near 3,3-quadrangulations on <= 9 vertices with disjoint
+    # rings; in some of them a ring 4-cycle meets the triangle next to it,
+    # which only the exception for a 4-ring and a triangle allows
+    excepted = 0
+    graphs = [
+        g
+        for g in generate_near_quad33(9)
+        if not set(g.rings[0]) & set(g.rings[1]) and is_tame(g)
+    ]
+    for g in graphs:
+        cd = chain_decompose(g)
+        assert cd.n == max_chain_exhaustive(g)
+        assert audit_chain(g, cd) == []
+        c = cd.cutting_cycles
+        excepted += bool(set(c[0]) & set(c[1]) or set(c[-2]) & set(c[-1]))
+    assert (len(graphs), excepted) == (92, 17)
 
 
 # -- cut step ---------------------------------------------------------------------------
