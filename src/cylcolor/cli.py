@@ -188,7 +188,7 @@ def _cmd_critical(args) -> int:
 
 def _cmd_dominates(args) -> int:
     g1 = _load(args.input)
-    g2 = parse_emg(_read_input(args.other))
+    g2 = _load(args.other)
     verdict = coloring.dominates(g1, g2)
     _write(f"dominates={int(verdict)}\n", args.out)
     return 0
@@ -388,9 +388,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EMGParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -449,21 +449,20 @@ def dominates(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
     return _extendable(g1) <= _extendable(g2)
 
 
-def dominates_under(
-    g1: EmbeddedGraph, g2: EmbeddedGraph, vertex_map: Mapping[int, int]
-) -> bool:
-    """Domination of g2 by g1 through an explicit ring correspondence.
-
-    ``vertex_map`` sends g2's ring vertices to g1's; it must carry each
-    ring of g2 onto a ring of g1 as a cycle.  Used after surgeries that
-    renumber vertices.
+def dominates_under(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
+    """Domination of g2 by g1, their rings matched position by position:
+    ``g1.rings[i][j]`` stands for ``g2.rings[i][j]``, as in a surgery
+    result and its input, and may stand for several merged vertices.
+    Raises RingMismatch on rings of other lengths or a ring vertex of g2
+    matched with two of g1's.
     """
     if not g1.rings or not g2.rings:
         raise NoRings("both graphs need rings")
-    if not set(g2.ring_vertices) <= set(vertex_map):
-        raise RingMismatch("vertex map does not cover the ring vertices")
-    mapped = sorted(canon_cycle([vertex_map[v] for v in r]) for r in g2.rings)
-    if mapped != _ring_signature(g1):
-        raise RingMismatch("vertex map does not carry rings onto rings")
-    order = [vertex_map[v] for v in sorted(g2.ring_vertices)]
+    if list(map(len, g1.rings)) != list(map(len, g2.rings)):
+        raise RingMismatch("the rings differ in number or length")
+    pairs = {(v, u) for r2, r1 in zip(g2.rings, g1.rings) for v, u in zip(r2, r1)}
+    match = dict(pairs)
+    if len(pairs) != len(match):
+        raise RingMismatch("a ring vertex matches two vertices by position")
+    order = [match[v] for v in sorted(g2.ring_vertices)]
     return _members(_sweep(g1), order) <= _extendable(g2)

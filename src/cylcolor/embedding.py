@@ -330,12 +330,15 @@ def bfs_layers(
 def distance(g: EmbeddedGraph, h1: Iterable[int], h2: Iterable[int]) -> float:
     """Length of a shortest path with one end in each set (0 if they meet).
 
-    Returns math.inf when no path exists.
+    Returns math.inf when no path exists.  Raises ValueError when a set
+    is empty or holds a vertex outside the graph.
     """
     src = set(h1)
     dst = set(h2)
     if not src or not dst:
         raise ValueError("both vertex sets must be nonempty")
+    if not all(0 <= v < g.n for v in src | dst):
+        raise ValueError(f"vertex outside 0..{g.n - 1}")
     for d, layer in enumerate(bfs_layers(g.rotations, src)):
         if not dst.isdisjoint(layer):
             return d

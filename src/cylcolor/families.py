@@ -415,6 +415,8 @@ def _check_placements(g: EmbeddedGraph, placements) -> None:
     if len(set(verts)) != len(verts):
         raise NotIndependent("repeated placement vertex")
     for v in verts:
+        if not 0 <= v < g.n:
+            raise InvalidParameter(f"placement vertex {v} outside 0..{g.n - 1}")
         if v in g.ring_vertices:
             raise RingVertex(f"placement vertex {v} lies on a ring")
         if g.degree(v) != 3:
@@ -424,7 +426,16 @@ def _check_placements(g: EmbeddedGraph, placements) -> None:
             raise NotIndependent(f"placement vertices {v}, {u} are adjacent")
 
 
-def _patch_graph_mapped(g: EmbeddedGraph, placements) -> tuple[EmbeddedGraph, dict[int, int]]:
+def patch_graph(
+    g: EmbeddedGraph, placements: Sequence[tuple[int, EmbeddedGraph]]
+) -> EmbeddedGraph:
+    """Replace each placed degree-3 vertex by a 6-cycle filled with the patch.
+
+    The placed vertex v with rotation (x, y, z) becomes the hexagon
+    x a y b z c; the patch's ring maps onto that hexagon starting at x
+    (the smallest-id neighbor).  Other alignments are obtained by passing
+    a patch from patch_ring_variants.
+    """
     _check_placements(g, placements)
     rot: dict[int, list[int]] = {v: list(g.rotations[v]) for v in range(g.n)}
     next_id = g.n
@@ -461,20 +472,7 @@ def _patch_graph_mapped(g: EmbeddedGraph, placements) -> tuple[EmbeddedGraph, di
             k = host.index(v)
             host[k : k + 1] = [sigma[succ_ring]] + internals + [sigma[pred_ring]]
         del rot[v]
-    return compress_rotations(rot, g.rings)
-
-
-def patch_graph(
-    g: EmbeddedGraph, placements: Sequence[tuple[int, EmbeddedGraph]]
-) -> EmbeddedGraph:
-    """Replace each placed degree-3 vertex by a 6-cycle filled with the patch.
-
-    The placed vertex v with rotation (x, y, z) becomes the hexagon
-    x a y b z c; the patch's ring maps onto that hexagon starting at x
-    (the smallest-id neighbor).  Other alignments are obtained by passing
-    a patch from patch_ring_variants.
-    """
-    return _patch_graph_mapped(g, placements)[0]
+    return compress_rotations(rot, g.rings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -874,14 +872,14 @@ class FramedRecipe:
 def _patched_chain(
     base: EmbeddedGraph, pairs: InterfacePairs, placements
 ) -> tuple[EmbeddedGraph, InterfacePairs]:
-    """``base`` with ``placements`` patched in, and ``pairs`` renumbered to match."""
+    """``base`` with ``placements`` patched in, and ``pairs`` renumbered to
+    match: they are ring vertices, so each keeps its ring position."""
     if not placements:
         return base, pairs
-    patched, remap = _patch_graph_mapped(base, placements)
-    return patched, InterfacePairs(
-        (remap[pairs.first[0]], remap[pairs.first[1]]),
-        (remap[pairs.second[0]], remap[pairs.second[1]]),
-    )
+    patched = patch_graph(base, placements)
+    renamed = {v: u for r, s in zip(base.rings, patched.rings) for v, u in zip(r, s)}
+    first, second = ((renamed[a], renamed[b]) for a, b in (pairs.first, pairs.second))
+    return patched, InterfacePairs(first, second)
 
 
 def build_framed_patched(recipe: FramedRecipe) -> EmbeddedGraph:

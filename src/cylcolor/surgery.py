@@ -1,16 +1,18 @@
 """Graph surgery on cylinder maps: identifications, contractions, cutting.
 
 All operations return new validated EmbeddedGraphs.  Vertex ids compress
-after deletions (order preserved), so internal variants also return the
-old-to-new id map; audits use it to align ring labels across a surgery.
-Identification and triangle-pair collapse merge vertices by one rule
-(``_merge``) that builds the simple rotation table directly, so each
-builds and validates exactly one map.
+after deletions (order preserved).  A result lines up with its input
+through its rings, position by position: a surgery renames ring vertices,
+and may merge two, but never drops one, so ``out.rings[i][j]`` is
+``g.rings[i][j]`` renamed.  Identification and triangle-pair collapse
+merge vertices by one rule (``_merge``) that builds the simple rotation
+table directly, so each builds and validates exactly one map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .coloring import COLORS, blocked_precolorings, _solve_first
@@ -162,13 +164,6 @@ def identify_across_face(
     is the simple identified graph, embedded the same whatever the vertex
     labels once the kept end is fixed.
     """
-    return identify_across_face_mapped(g, face, diagonal)[0]
-
-
-def identify_across_face_mapped(
-    g: EmbeddedGraph, face: Sequence[int], diagonal: str = "13"
-) -> tuple[EmbeddedGraph, dict[int, int]]:
-    """identify_across_face plus the old-to-new vertex id map."""
     face = tuple(face)
     if len(face) != 4:
         raise NotAFace(f"{face} is not a 4-face")
@@ -178,7 +173,7 @@ def identify_across_face_mapped(
         pair = (face[1], face[3])
     else:
         raise InvalidParameter(f"bad diagonal {diagonal!r}")
-    return _identify_mapped(g, face, pair)
+    return _identify_mapped(g, face, pair)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +238,15 @@ def _align_layers(g: EmbeddedGraph, xs: Cycle, ys: Cycle) -> Cycle:
 
 
 def ladder_contract(g: EmbeddedGraph, q2: Sequence[int], q3: Sequence[int]) -> EmbeddedGraph:
-    """The graph with the staircase between layer cycles q2 and q3
-    identified (``_ladder_contract_mapped``), ids compressed in order.
-
-    Raises NotALadder unless q2 and q3 are disjoint equal-length cycles
-    (>= 4) joined by rung 4-faces, and what ``identify_across_face``
-    raises.  No vertex guard applies: nothing is searched.
-    """
-    return _ladder_contract_mapped(g, q2, q3)[0]
-
-
-def _ladder_contract_mapped(g, q2, q3) -> tuple[EmbeddedGraph, dict[int, int]]:
-    """Identify the alternating staircase between two quadrangulated layers.
+    """The graph with the alternating staircase between layer cycles q2
+    and q3 identified, ids compressed in order.
 
     For layer length k the identified set runs x1, y2, x3, ... up to
     x_{k-3} when k is even and x_{k-2} when k is odd, realized as a
     sequence of diagonal identifications across the rung 4-faces.
+    Raises NotALadder unless q2 and q3 are disjoint equal-length cycles
+    (>= 4) joined by rung 4-faces, and what ``identify_across_face``
+    raises.  No vertex guard applies: nothing is searched.
     """
     xs = tuple(q2)
     ys_raw = tuple(q3)
@@ -279,18 +267,15 @@ def _ladder_contract_mapped(g, q2, q3) -> tuple[EmbeddedGraph, dict[int, int]]:
         if canon_cycle(quad) not in quads:
             raise NotALadder(f"rung face {quad} missing")
     last = k - 3 if k % 2 == 0 else k - 2
-    # 1-based alternating staircase: x1, y2, x3, ...
-    chain = [(xs[t - 1] if t % 2 == 1 else ys[t - 1]) for t in range(1, last + 1)]
-    total = {v: v for v in range(g.n)}
     cur = g
-    for t in range(1, len(chain)):
-        a = total[chain[t - 1]]
-        b = total[chain[t]]
-        # the rung quad between layer positions t and t+1 (1-based)
-        quad = tuple(total[v] for v in (xs[t - 1], xs[t], ys[t], ys[t - 1]))
-        cur, remap = _identify_mapped(cur, quad, (a, b))
-        total = {v: remap[w] for v, w in total.items()}
-    return cur, total
+    for t in range(1, last):
+        # the rung quad between layer positions t and t+1 (1-based), and
+        # its diagonal on the alternating staircase x1, y2, x3, ...
+        quad = (xs[t - 1], xs[t], ys[t], ys[t - 1])
+        pair = (xs[t - 1], ys[t]) if t % 2 == 1 else (ys[t - 1], xs[t])
+        cur, remap = _identify_mapped(cur, quad, pair)
+        xs, ys = tuple(remap[v] for v in xs), tuple(remap[v] for v in ys)
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -302,25 +287,18 @@ def collapse_triangle_pair(
     g: EmbeddedGraph, t1: Sequence[int], t2: Sequence[int]
 ) -> EmbeddedGraph:
     """The graph with the region between two non-contractible triangles
-    sharing one vertex removed and the triangles glued
-    (``_collapse_mapped``), ids compressed in order.
-
-    Raises NotTrianglePair when t1 and t2 are no such pair around a
-    region, MalformedRotation when the gluing repeats an edge other than
-    as a digon or a lens.  No vertex guard applies: nothing is searched.
-    """
-    return _collapse_mapped(g, t1, t2)[0]
-
-
-def _collapse_mapped(g, t1, t2) -> tuple[EmbeddedGraph, dict[int, int]]:
-    """Remove the region between two triangles sharing one vertex and glue them.
+    sharing one vertex removed and the triangles glued, ids compressed in
+    order.
 
     The region is the part of the chain piece between the triangles:
     the faces on hole 1's side of t2 but not of t1.  Its interior goes,
     and the triangles, both walked from the shared vertex z as (z, p, q)
     around the region, glue p1 with q2 and q1 with p2.  The glued sides
     become digons; a further common neighbour of a glued pair is a lens
-    and keeps the edge of p1 or q1 (see ``_merge``).
+    and keeps the edge of p1 or q1 (see ``_merge``).  Raises
+    NotTrianglePair when t1 and t2 are no such pair around a region,
+    MalformedRotation when the gluing repeats an edge other than as a
+    digon or a lens.  No vertex guard applies: nothing is searched.
     """
     c1 = tuple(t1)
     c2 = tuple(t2)
@@ -394,7 +372,7 @@ def _collapse_mapped(g, t1, t2) -> tuple[EmbeddedGraph, dict[int, int]]:
     # glue p1 with q2 and q1 with p2 (reversed pairing around the annulus)
     splice(p1, q2, q1, z, z, p2)
     splice(q1, p2, z, p1, q2, z)
-    return _merge(rot, {q2: p1, p2: q1}, g.rings)
+    return _merge(rot, {q2: p1, p2: q1}, g.rings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -622,16 +600,11 @@ def is_critical(g: EmbeddedGraph, guard: int = 22) -> CriticalityReport:
 
 
 def maximal_critical_subgraph(g: EmbeddedGraph, guard: int = 22) -> EmbeddedGraph:
-    """The subgraph ``_maximal_critical_mapped`` extracts, ids compressed
-    in order.  Raises TooLarge above ``guard`` vertices or past the
-    sweep's bound on frontier colorings, else NothingToExtract when every
-    ring precoloring extends."""
-    return _maximal_critical_mapped(g, guard)[0]
-
-
-def _maximal_critical_mapped(g: EmbeddedGraph, guard: int = 22):
-    """The subgraph ``_extract`` leaves and the old-to-new id map."""
-    return compress_rotations(_extract(g, guard)[1], g.rings)
+    """The subgraph ``_extract`` leaves, ids compressed in order.  Raises
+    TooLarge above ``guard`` vertices or past the sweep's bound on
+    frontier colorings, else NothingToExtract when every ring precoloring
+    extends."""
+    return compress_rotations(_extract(g, guard)[1], g.rings)[0]
 
 
 def _extract(g: EmbeddedGraph, guard: int) -> tuple[_DeletionTest, dict[int, list[int]]]:
@@ -853,20 +826,6 @@ def audit_chain(g: EmbeddedGraph, chain: ChainDecomposition) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def cut_step(g: EmbeddedGraph, d0: int, guard: int = 22, audit: bool = True) -> EmbeddedGraph:
-    """One cutting step (``_cut_step_mapped``): a cylinder dominating g
-    with a new short non-contractible cycle, ids compressed in order.
-
-    Raises PreconditionFailed when g, or a graph stepped from, breaks a
-    precondition or no route applies; TooLarge when a graph tested for
-    criticality or extracted has more than ``guard`` vertices, or when a
-    sweep passes its bound on frontier colorings; with
-    ``audit``, AuditFailed when the result fails a conclusion.
-    """
-    out, _ = _cut_step_mapped(g, d0, guard, audit)
-    return out
-
-
 def _ring_distances(g: EmbeddedGraph) -> list[list[int]]:
     """Each vertex's distance from each ring, one list by id per ring."""
     out = []
@@ -893,8 +852,9 @@ def _short_cycles(g: EmbeddedGraph) -> tuple[list[CycleRef], list[CycleRef]]:
     return cycles, [c for c in cycles if not (c.contractible or canon_cycle(c.vertices) in rings)]
 
 
-def _cut_step_mapped(g: EmbeddedGraph, d0: int, guard: int, audit: bool):
-    """The cutting step and its old-to-new id map.
+def cut_step(g: EmbeddedGraph, d0: int, guard: int = 22, audit: bool = True) -> EmbeddedGraph:
+    """One cutting step: a cylinder dominating g with a new short
+    non-contractible cycle, ids compressed in order.
 
     A loop over the graphs it steps from, g first.  Each is laid out once,
     by one scan of its (<= 4)-cycles and one BFS from each ring, which
@@ -903,8 +863,16 @@ def _cut_step_mapped(g: EmbeddedGraph, d0: int, guard: int, audit: bool):
     ends the loop; the loop steps from any other.  A result is decided
     critical, as ``_cut_route`` says how, only when the loop steps from
     it.  The audit compares the result with g.
+
+    Raises PreconditionFailed when d0 < 3, g or a graph stepped from
+    breaks a precondition, or no route applies; TooLarge when a graph
+    tested for criticality or extracted has more than ``guard`` vertices,
+    or a sweep passes its bound on frontier colorings; with ``audit``,
+    AuditFailed when the result fails a conclusion.
     """
-    cur, total, scan, d_in = g, {v: v for v in range(g.n)}, None, None
+    if d0 < 3:
+        raise PreconditionFailed(f"d0: d0({d0}) < 3")
+    cur, scan, d_in = g, None, None
     critical = lambda: is_critical(g, guard=guard).is_critical
     while True:
         if len(cur.rings) != 2 or any(len(r) > 4 for r in cur.rings):
@@ -921,26 +889,24 @@ def _cut_step_mapped(g: EmbeddedGraph, d0: int, guard: int, audit: bool):
         d1, d2 = _ring_distances(cur)
         d = min(d1[v] for v in cur.rings[1])
         d_in = d if d_in is None else d_in
-        if d0 < 3 or d < d0:
+        if d < d0:
             raise PreconditionFailed(f"distance: d({d}) < d0({d0})")
         step = _cut_route(cur, d1, d2, d, guard)
         if step is None:
             raise PreconditionFailed("no identification or ladder step applies")
-        cur, moved, critical = step
-        total = {v: moved[w] for v, w in total.items() if w in moved}
+        cur, critical = step
         scan = _short_cycles(cur) if critical else None
         if scan is None or scan[1]:
             break
     if audit:
-        _audit_cut(g, cur, total, d_in, (scan or _short_cycles(cur))[1])
-    return cur, total
+        _audit_cut(g, cur, d_in, (scan or _short_cycles(cur))[1])
+    return cur
 
 
 def _cut_route(g: EmbeddedGraph, d1, d2, d: int, guard: int):
     """One step from g at ring distance d, its vertices at d1 and d2 from
-    the rings: the graph, the old-to-new id map and a call deciding an
-    identified graph critical (None for a ladder), or None when no route
-    applies.
+    the rings: the graph and a call deciding an identified graph critical
+    (None for a ladder), or None when no route applies.
 
     The identification route takes, face by face, the first diagonal of
     an internal 4-face at distance >= 3 from the rings and next to no
@@ -974,12 +940,10 @@ def _cut_route(g: EmbeddedGraph, d1, d2, d: int, guard: int):
                 continue
             test, rows = _extract(g1, guard)
             g2, m2 = compress_rotations(rows, g1.rings)
-            moved = {v: m2[m1[v]] for v in range(g.n) if v in m1 and m1[v] in m2}
             if is_tame(g2):
-                return g2, moved, lambda: test.witness(rows) is None
-            g3, m3 = _collapse_best_pair(g2, m2.get(m1[a]))
-            moved = {v: m3[w] for v, w in moved.items() if w in m3}
-            return g3, moved, lambda: is_critical(g3, guard).is_critical
+                return g2, lambda: test.witness(rows) is None
+            g3 = _collapse_best_pair(g2, m2.get(m1[a]))
+            return g3, lambda: is_critical(g3, guard).is_critical
 
     # ladder route: find a quadrangulated band and contract the staircase
     dmax = max(d1)
@@ -994,42 +958,36 @@ def _cut_route(g: EmbeddedGraph, d1, d2, d: int, guard: int):
         if len(qs) < 4 or any(len(q) < len(qs[0]) for q in qs):
             continue
         try:
-            return (*_ladder_contract_mapped(g, qs[2], qs[3]), None)
+            return ladder_contract(g, qs[2], qs[3]), None
         except NotALadder:
             continue
     return None
 
 
-def _collapse_best_pair(g: EmbeddedGraph, z: Optional[int]):
+def _collapse_best_pair(g: EmbeddedGraph, z: Optional[int]) -> EmbeddedGraph:
+    """The smallest collapse of two non-contractible triangles of g sharing
+    one vertex, both through z unless z is None; the first found on a tie."""
     tris = [t.vertices for t in enumerate_short_cycles(g, 3) if not t.contractible]
-    if z is not None:
-        tris = [t for t in tris if z in t]
-    best = None
-    for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
-            if len(set(tris[i]) & set(tris[j])) != 1:
-                continue
+    outs = []
+    for t1, t2 in combinations([t for t in tris if z is None or z in t], 2):
+        if len(set(t1) & set(t2)) == 1:
             try:
-                out, remap = _collapse_mapped(g, tris[i], tris[j])
+                outs.append(collapse_triangle_pair(g, t1, t2))
             except NotTrianglePair:
-                continue
-            size = g.n - out.n
-            if best is None or size > best[0]:
-                best = (size, out, remap)
-    if best is None:
+                pass
+    if not outs:
         raise NotTrianglePair("no collapsible triangle pair")
-    return best[1], best[2]
+    return min(outs, key=lambda out: out.n)
 
 
-def _audit_cut(g, out, total, d_before, extra):
+def _audit_cut(g, out, d_before, extra):
     # looked up at each call, so a wrapper on either module attribute sees it
     from .coloring import dominates_under
     from .families import near_quad33_decomposition
 
     if len(out.rings) != 2:
         raise AuditFailed("result is not a cylinder")
-    ring_map = {v: total[v] for v in g.ring_vertices}
-    if not dominates_under(out, g, ring_map):
+    if not dominates_under(out, g):
         raise AuditFailed("result does not dominate the input")
     d1, d2 = _ring_distances(out)
     d_after = min(d1[v] for v in out.rings[1])

@@ -45,7 +45,7 @@ from cylcolor.families import (
 from cylcolor.surgery import (
     audit_chain,
     chain_decompose,
-    identify_across_face_mapped,
+    identify_across_face,
 )
 
 import fixtures
@@ -162,7 +162,7 @@ def test_criterion_3_identification_domination():
         for f in quads:
             for diag in ("13", "24"):
                 try:
-                    out, remap = identify_across_face_mapped(g, f, diag)
+                    out = identify_across_face(g, f, diag)
                 except RingVertex:
                     skipped_ring_pairs += 1
                     continue
@@ -170,9 +170,8 @@ def test_criterion_3_identification_domination():
                     # adjacent corners admit no identification at all
                     skipped_adjacent += 1
                     continue
-                ring_map = {v: remap[v] for v in g.ring_vertices}
                 checked += 1
-                if not dominates_under(out, g, ring_map):
+                if not dominates_under(out, g):
                     failures += 1
     report(
         "criterion-3 (identification domination)",

@@ -290,14 +290,9 @@ def test_recognize_framed():
 def test_recognize_patched_framed():
     g, pairs = reduced_thomas_walls(3)
     hub = generate_patches(1)[0]
-    from cylcolor.families import _patch_graph_mapped, InterfacePairs
+    from cylcolor.families import _patched_chain
 
-    patched, remap = _patch_graph_mapped(g, [(4, hub)])
-    mapped = InterfacePairs(
-        (remap[pairs.first[0]], remap[pairs.first[1]]),
-        (remap[pairs.second[0]], remap[pairs.second[1]]),
-    )
-    f = frame(patched, mapped, ((True, True), (True, True)))
+    f = frame(*_patched_chain(g, pairs, [(4, hub)]), ((True, True), (True, True)))
     w = recognize(f, catalog_bound=18, patch_bound=1)
     assert w.verdict == "framed_patched_tw"
     rebuilt = reproduce_witness(w)

@@ -213,14 +213,15 @@ def test_attach_ring(capsys, monkeypatch):
 
 
 def test_cut_reports_precondition(capsys, monkeypatch):
-    code, out, err = run(
-        capsys,
-        ["cut", "--d0", "3"],
-        stdin=emit_emg(fixtures.penta_tube(2)),
-        monkeypatch=monkeypatch,
-    )
-    assert code == 2
-    assert "no identification or ladder step" in err
+    for d0, tube, clause in (("3", 2, "no identification or ladder step"), ("2", 4, "d0: d0(2) < 3")):
+        code, out, err = run(
+            capsys,
+            ["cut", "--d0", d0],
+            stdin=emit_emg(fixtures.penta_tube(tube)),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2 and out == ""
+        assert clause in err
 
 
 def test_gen_classify_roundtrip(capsys, monkeypatch):

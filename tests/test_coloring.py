@@ -499,9 +499,10 @@ def test_dominates_under_matches_set_inclusion():
     members = [brute_ring_members(g) for g in graphs]
     for g1, m1 in zip(graphs, members):
         for g2, m2 in zip(graphs, members):
+            # the corpus rings are the same tuples, so ring positions
+            # match each vertex of g1's rings with its relabeled copy
             perm = list(reversed(range(g2.n)))
-            ring_map = {perm[v]: v for v in g2.ring_vertices}
-            assert dominates_under(g1, relabel(g2, perm), ring_map) == (m1 <= m2)
+            assert dominates_under(g1, relabel(g2, perm)) == (m1 <= m2)
 
 
 def test_dominates_ring_mismatch():
@@ -509,10 +510,13 @@ def test_dominates_ring_mismatch():
         dominates(fixtures.prism(), cylinder_grid(4, 2))
 
 
-def test_dominates_under_requires_ring_map():
-    g = fixtures.prism()
-    with pytest.raises(RingMismatch):
-        dominates_under(g, g, {v: v for v in range(5)})
+def test_dominates_under_requires_matching_rings():
+    # rings of other lengths, and rings whose positions match one vertex
+    # with two: T'_1's rings share all four vertices, a cube's share none
+    t1, cube = reduced_thomas_walls(1)[0], cylinder_grid(4, 2)
+    for g1, g2 in ((fixtures.prism(), cube), (cube, t1)):
+        with pytest.raises(RingMismatch):
+            dominates_under(g1, g2)
 
 
 # -- triangle-free sphere colorability --------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from pathlib import Path
 
@@ -321,13 +320,16 @@ def test_distance_intersecting_sets():
     assert distance(g, {0, 1}, {1, 2}) == 0
 
 
-def test_distance_empty_and_unreachable_sets():
+def test_distance_rejects_empty_sets_and_outside_vertices():
     g = fixtures.prism()
     with pytest.raises(ValueError):
         distance(g, set(), {0})
     with pytest.raises(ValueError):
         distance(g, {0}, ())
-    assert distance(g, {0}, {g.n}) == math.inf
+    grid = cylinder_grid(4, 3)
+    for h1, h2 in (([-1], [0]), ([0], [99]), ([0], [grid.n])):  # -1 is no last vertex
+        with pytest.raises(ValueError, match="outside"):
+            distance(grid, h1, h2)
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=10))

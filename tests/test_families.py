@@ -256,6 +256,14 @@ def test_patch_graph_rejects_ring_vertex():
         patch_graph(g, [(2, hub)])
 
 
+def test_patch_graph_rejects_vertices_outside_the_graph():
+    g, _ = reduced_thomas_walls(3)
+    hub = generate_patches(1)[0]
+    for v in (g.n, 99, -1):  # -1 must not stand for the last vertex
+        with pytest.raises(InvalidParameter, match="outside"):
+            patch_graph(g, [(v, hub)])
+
+
 def test_patch_graph_rejects_wrong_degree():
     g = fixtures.hub_hexagon().with_rings(())
     gg = EmbeddedGraph(g.rotations, rings=((0, 1, 2, 3, 4, 5),))

@@ -48,7 +48,15 @@ from cylcolor.errors import (
     PreconditionFailed,
     RingVertex,
 )
-from cylcolor.families import cylinder_grid, frame, generate_near_quad33, reduced_thomas_walls
+from cylcolor.families import (
+    cylinder_grid,
+    frame,
+    generate_near_quad33,
+    generate_patches,
+    patch_graph,
+    patch_ring_variants,
+    reduced_thomas_walls,
+)
 from cylcolor.surgery import (
     ChainDecomposition,
     audit_chain,
@@ -57,10 +65,8 @@ from cylcolor.surgery import (
     cut_step,
     distance_classes,
     identify_across_face,
-    identify_across_face_mapped,
     ladder_contract,
     maximal_critical_subgraph,
-    _maximal_critical_mapped,
     shortest_layer_cycle,
 )
 
@@ -89,16 +95,15 @@ def test_identify_dominates_on_grid():
     g = cylinder_grid(4, 4)
     for f in internal_quads(g):
         for diag in ("13", "24"):
-            out, remap = identify_across_face_mapped(g, f, diag)
-            ring_map = {v: remap[v] for v in g.ring_vertices}
-            assert dominates_under(out, g, ring_map), (f, diag)
+            out = identify_across_face(g, f, diag)
+            assert dominates_under(out, g), (f, diag)
 
 
 def test_identify_lifting():
     # every coloring of the identified graph lifts by copying the merged color
     g = cylinder_grid(4, 3)
     f = internal_quads(g)[0]
-    out, remap = identify_across_face_mapped(g, f, "13")
+    out, remap = surgery._identify_mapped(g, f, (f[0], f[2]))
     col = extend(out, Precoloring.empty())
     assert col is not None
     lifted = {v: col[remap[v]] for v in range(g.n)}
@@ -118,7 +123,7 @@ def test_identify_merges_parallel_edge():
     assert sorted(out.rotations[0]) == [1, 2, 3]  # the merged hub
     # vertex 4 is a lens: the merged vertex keeps its own edge to it, not
     # the dropped vertex 2's, so the hub turns as vertex 0 did
-    out, remap = identify_across_face_mapped(g, (0, 1, 2, 3), "13")
+    out, remap = surgery._identify_mapped(g, (0, 1, 2, 3), (0, 2))
     assert remap[2] == remap[0] == 0
     own = tuple(remap[u] for u in g.rotations[0])
     assert out.rotations[0] in {own[i:] + own[:i] for i in range(3)}
@@ -176,7 +181,7 @@ def test_identify_matches_networkx_contraction():
         for f in internal_quads(g):
             for diag, (a, b) in _diagonals(f):
                 try:
-                    out, remap = identify_across_face_mapped(g, f, diag)
+                    out, remap = surgery._identify_mapped(g, f, (a, b))
                 except (DiagonalAdjacent, RingVertex):
                     continue
                 assert remap[a] == remap[b], (name, f, diag)
@@ -188,34 +193,49 @@ def test_identify_matches_networkx_contraction():
     assert done > 250 and lenses > 20  # 291 and 26
 
 
+def _recording(step, maps: list):
+    """``step``, a surgery step that returns a graph and an id map, also
+    appending each id map it returns to ``maps``."""
+
+    def recorded(*args):
+        out, remap = step(*args)
+        maps.append(remap)
+        return out, remap
+
+    return recorded
+
+
 def _merge_records() -> list[str]:
     """EMG and id map, or the error's name, of every lens-free
     identification of the cylinder fixtures, and of every collapse of a
     non-contractible triangle pair sharing one vertex in a fixture or in
-    one of those identifications."""
-    parts = []
+    one of those identifications.  The id map is the one the merge rule
+    (``_merge``) returns."""
+    parts, maps = [], []
 
     def record(fn, *args):
         try:
-            out, remap = fn(*args)
+            out = fn(*args)
         except CylColorError as exc:
             parts.append(type(exc).__name__)
             return None
-        parts.append(emit_emg(out) + repr(sorted(remap.items())))
+        parts.append(emit_emg(out) + repr(sorted(maps[-1].items())))
         return out
 
-    for _, g in fixtures.cylinder_corpus():
-        inputs = [g]
-        for f in internal_quads(g):
-            for diag, pair in _diagonals(f):
-                if not _is_lens(g, f, pair):
-                    inputs.append(record(identify_across_face_mapped, g, f, diag))
-        for h in filter(None, inputs):
-            tris = [t.vertices for t in enumerate_short_cycles(h, 3) if not t.contractible]
-            for t1 in tris:
-                for t2 in tris:
-                    if len(set(t1) & set(t2)) == 1:
-                        record(surgery._collapse_mapped, h, t1, t2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surgery, "_merge", _recording(surgery._merge, maps))
+        for _, g in fixtures.cylinder_corpus():
+            inputs = [g]
+            for f in internal_quads(g):
+                for diag, pair in _diagonals(f):
+                    if not _is_lens(g, f, pair):
+                        inputs.append(record(identify_across_face, g, f, diag))
+            for h in filter(None, inputs):
+                tris = [t.vertices for t in enumerate_short_cycles(h, 3) if not t.contractible]
+                for t1 in tris:
+                    for t2 in tris:
+                        if len(set(t1) & set(t2)) == 1:
+                            record(collapse_triangle_pair, h, t1, t2)
     return parts
 
 
@@ -335,12 +355,9 @@ def test_ladder_contract_k4_is_identity():
 
 
 def test_ladder_contract_dominates():
-    from cylcolor.surgery import _ladder_contract_mapped
-
     g = cylinder_grid(5, 4)
-    out, total = _ladder_contract_mapped(g, tuple(range(5, 10)), tuple(range(10, 15)))
-    ring_map = {v: total[v] for v in g.ring_vertices}
-    assert dominates_under(out, g, ring_map)
+    out = ladder_contract(g, tuple(range(5, 10)), tuple(range(10, 15)))
+    assert dominates_under(out, g)
 
 
 def test_ladder_contract_new_short_cycle():
@@ -378,15 +395,14 @@ def test_collapse_shared_vertex_pair():
 
 def test_collapse_back_extension():
     # every coloring of the collapsed graph pulls back across the
-    # quadrangulated region
-    from cylcolor.surgery import _collapse_mapped
+    # quadrangulated region, ring vertex by ring position
     from oracles import brute_extends
 
     g = fixtures.shared_vertex_quad33()
-    out, remap = _collapse_mapped(g, (0, 1, 2), (0, 3, 4))
+    out = collapse_triangle_pair(g, (0, 1, 2), (0, 3, 4))
     for member in extendable_set(out).members:
         coloring = dict(zip(sorted(out.ring_vertices), member))
-        pulled = {v: coloring[remap[v]] for v in range(g.n) if v in remap}
+        pulled = {v: coloring[u] for r, s in zip(g.rings, out.rings) for v, u in zip(r, s)}
         assert brute_extends(g, pulled)
 
 
@@ -420,6 +436,11 @@ def test_maximal_critical_fixpoint_on_critical_input():
     assert out == g
 
 
+def _extracted(g: EmbeddedGraph, guard: int = 22):
+    """The maximal critical subgraph of g and the vertices of g it keeps."""
+    return maximal_critical_subgraph(g, guard), sorted(surgery._extract(g, guard)[1])
+
+
 def test_maximal_critical_matches_set_equality_oracle():
     # the corpus holds every quad33 graph on at most 8 vertices
     shrunk = 0
@@ -429,9 +450,9 @@ def test_maximal_critical_matches_set_equality_oracle():
             want = reference_maximal_critical(g)
         except NothingToExtract:
             with pytest.raises(NothingToExtract):
-                _maximal_critical_mapped(g)
+                maximal_critical_subgraph(g)
             continue
-        assert _maximal_critical_mapped(g) == want, name
+        assert _extracted(g) == (want[0], sorted(want[1])), name
         shrunk += want[0].n < g.n or want[0].edge_count < g.edge_count
     assert shrunk
 
@@ -478,9 +499,9 @@ def test_certified_deletions_match_set_equality_oracles():
             want = reference_maximal_critical(h)
         except NothingToExtract:
             with pytest.raises(NothingToExtract):
-                _maximal_critical_mapped(h, guard=30)
+                maximal_critical_subgraph(h, guard=30)
             continue
-        assert _maximal_critical_mapped(h, guard=30) == want, i
+        assert _extracted(h, guard=30) == (want[0], sorted(want[1])), i
         shrunk += want[0].edge_count < h.edge_count
     assert noncritical > 50 and shrunk > 50
 
@@ -505,7 +526,7 @@ def test_certified_felt_deletions_are_felt():
             mp.setattr(surgery._DeletionTest, "unchanged", recording)
             is_critical(h, guard=30)
             try:
-                _maximal_critical_mapped(h, guard=30)
+                maximal_critical_subgraph(h, guard=30)
             except NothingToExtract:
                 pass
         base = _ref_members(h.rotations, h)
@@ -616,7 +637,7 @@ def test_no_deletion_is_searched_twice(seed, extract):
         mp.setattr(surgery, "_solve_first", kernel)
         mp.setattr(surgery._DeletionTest, "_walk", walking)
         try:
-            _maximal_critical_mapped(g, guard=30) if extract else is_critical(g, guard=30)
+            maximal_critical_subgraph(g, guard=30) if extract else is_critical(g, guard=30)
         except NothingToExtract:
             pass
     proven = set()
@@ -658,7 +679,7 @@ def test_walk_certificates_on_critical_graphs_are_felt():
         for i, g in enumerate(graphs):
             h = _relabeled(g, f"walk/{i}")
             assert is_critical(h, guard=40).is_critical, i
-            _maximal_critical_mapped(h, guard=40)
+            maximal_critical_subgraph(h, guard=40)
         cut_step(_relabeled(fixtures.penta_tube(6), "walk/cut"), 3, guard=40)
     checked = shrunk = 0
     for h, tested in proved.values():
@@ -708,7 +729,7 @@ def test_extraction_never_needs_a_second_edge_pass():
         mp.setattr(surgery._DeletionTest, "first_unchanged", scanning)
         for g in graphs:
             try:
-                _maximal_critical_mapped(g, guard=40)
+                maximal_critical_subgraph(g, guard=40)
             except NothingToExtract:
                 pass
         cut_step(fixtures.penta_tube(6), 3, guard=40)
@@ -959,7 +980,7 @@ def test_cut_step_rejects_noncritical():
 def test_cut_step_rejects_interior_short_cycles():
     g = cylinder_grid(4, 3)
     with pytest.raises(PreconditionFailed) as err:
-        cut_step(g, 2, guard=22)
+        cut_step(g, 3, guard=22)
     assert "critical" in str(err.value) or "cycles" in str(err.value)
 
 
@@ -975,6 +996,20 @@ def test_cut_step_tube_distance_clause():
     with pytest.raises(PreconditionFailed) as err:
         cut_step(g, 5, guard=30)
     assert "distance" in str(err.value)
+
+
+def test_cut_step_rejects_small_d0_before_any_scan():
+    # the cutting argument needs d0 >= 3, whatever the ring distance
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a graph was scanned")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("is_critical", "enumerate_short_cycles", "bfs_layers"):
+            mp.setattr(surgery, name, no_scan)
+        for d0 in (2, 0, -1):
+            with pytest.raises(PreconditionFailed) as err:
+                cut_step(fixtures.penta_tube(4), d0)
+            assert err.value.clause == f"d0: d0({d0}) < 3"
 
 
 def test_cut_step_tube_no_applicable_step():
@@ -1018,11 +1053,12 @@ def test_cut_step_tube_output_is_pinned(k):
     assert digest == _TUBE_CUT_DIGESTS[k]
 
 
-# one sha256 over the cutting step's result on every case below, computed
-# when the step still recursed through each graph it stepped from: the
-# EMG output and sorted id map of a step that applies, the exception
-# class and message of one that fails
-_RELABELED_CUTS_DIGEST = "050035c0b332d22f71f3a924f1f33ffcac33f24d7fd4693a66dd99cbff551c4f"
+# one sha256 over the cutting step's result on every case below: the EMG
+# output of a step that applies, the exception class and message of one
+# that fails.  Computed while the step still returned an id map too, which
+# an earlier pin covered along with the EMG, from when the step recursed
+# through each graph it stepped from
+_RELABELED_CUTS_DIGEST = "5ad906d4bbfda4883650769fefd06f1397adf6ee7dbff7d812f6f367f97a0207"
 
 
 @pytest.mark.slow
@@ -1034,12 +1070,29 @@ def test_cut_step_on_relabeled_tubes_is_pinned():
             g = _relabeled(tube, seed)
             for d0 in (3, 4):
                 try:
-                    out, total = surgery._cut_step_mapped(g, d0, 50, True)
-                    record = emit_emg(out) + repr(sorted(total.items()))
+                    record = emit_emg(cut_step(g, d0, 50, True))
                 except CylColorError as err:
                     record = f"{type(err).__name__}: {err}"
                 digest.update(record.encode("ascii"))
     assert digest.hexdigest() == _RELABELED_CUTS_DIGEST
+
+
+def test_cut_route_takes_the_ladder_route():
+    # no internal 4-face of the grid is next to no longer face at distance
+    # >= 3 from both rings, so only the ladder route applies
+    g = cylinder_grid(5, 8)
+    d1, d2 = surgery._ring_distances(g)
+    out, critical = surgery._cut_route(g, d1, d2, 7, 22)
+    assert (g.n, out.n, critical) == (40, 38, None)
+    digest = hashlib.sha256(emit_emg(out).encode("ascii")).hexdigest()
+    assert digest == "56b2eee379761cb1ea26b0d1e5ead921c71e54485bad3b9f4952c740eb2acda7"
+
+
+def test_collapse_best_pair_is_pinned():
+    # the collapse the identification route takes on an untame result
+    out = surgery._collapse_best_pair(fixtures.shared_vertex_quad33(), 0)
+    digest = hashlib.sha256(emit_emg(out).encode("ascii")).hexdigest()
+    assert digest == "6d7b8880e9de99941fd4124c3155cadffe53f8cc2cef599ccc103f8d3cb70050"
 
 
 def test_identification_keeps_the_predicted_ring_distance():
@@ -1084,3 +1137,91 @@ def test_cut_step_lays_out_each_graph_once():
         cut_step(fixtures.penta_tube(6), 3, guard=40)
     assert counts["_identify_mapped"] <= 2, counts
     assert counts["enumerate_short_cycles"] <= 3, counts
+
+
+# -- results line up with their inputs through their rings ---------------------------
+
+
+def _ring_renaming(g: EmbeddedGraph, out: EmbeddedGraph) -> dict[int, int]:
+    """The renaming of g's ring vertices that ``out``'s rings show, position
+    by position; it must be one: each vertex renamed the same at each of
+    its positions."""
+    assert list(map(len, out.rings)) == list(map(len, g.rings))
+    pairs = {(v, u) for r, s in zip(g.rings, out.rings) for v, u in zip(r, s)}
+    renamed = dict(pairs)
+    assert len(renamed) == len(pairs)
+    return renamed
+
+
+def test_results_line_up_with_their_inputs_through_their_rings():
+    # out.rings[i][j] is g.rings[i][j] renamed as the step's id map, or the
+    # id maps of the identifications it made, rename it; a cutting step is
+    # made of these steps
+    counts = dict.fromkeys(("identify", "collapse", "extract", "ladder", "patch", "cut"), 0)
+
+    def check(g, out, maps):
+        renamed = {v: v for v in g.ring_vertices}
+        for remap in maps:
+            renamed = {v: remap[u] for v, u in renamed.items()}
+        assert _ring_renaming(g, out) == renamed
+        maps.clear()
+
+    maps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surgery, "_merge", _recording(surgery._merge, maps))
+        for _, g in fixtures.cylinder_corpus():
+            graphs = [g]
+            for f in internal_quads(g):
+                for diag in ("13", "24"):
+                    try:
+                        out = identify_across_face(g, f, diag)
+                    except CylColorError:
+                        maps.clear()
+                        continue
+                    check(g, out, maps)
+                    graphs.append(out)
+                    counts["identify"] += 1
+            for h in graphs:
+                tris = [t.vertices for t in enumerate_short_cycles(h, 3) if not t.contractible]
+                for t1 in tris:
+                    for t2 in tris:
+                        if len(set(t1) & set(t2)) == 1:
+                            try:
+                                out = collapse_triangle_pair(h, t1, t2)
+                            except CylColorError:
+                                maps.clear()
+                                continue
+                            check(h, out, maps)
+                            counts["collapse"] += 1
+            try:
+                kept = sorted(surgery._extract(g, 22)[1])
+            except NothingToExtract:
+                continue
+            check(g, maximal_critical_subgraph(g), [{v: i for i, v in enumerate(kept)}])
+            counts["extract"] += 1
+        for k in range(4, 8):
+            g = cylinder_grid(k, 8)
+            for a in range(1, 6):
+                q2, q3 = tuple(range(k * a, k * a + k)), tuple(range(k * a + k, k * a + 2 * k))
+                check(g, ladder_contract(g, q2, q3[::-1]), maps)
+                counts["ladder"] += 1
+    g, _ = reduced_thomas_walls(4)
+    spots = [v for v in range(g.n) if v not in g.ring_vertices and g.degree(v) == 3]
+    for patch in generate_patches(2):
+        for variant in patch_ring_variants(patch):
+            for v in spots:
+                # the placed vertex goes; new vertices take ids above g's
+                check(g, patch_graph(g, [(v, variant)]), [{u: u - (v < u) for u in range(g.n)}])
+                counts["patch"] += 1
+    for k in range(3, 8):
+        for seed in range(8):
+            g = _relabeled(fixtures.penta_tube(k), seed)
+            for d0 in (3, 4):
+                try:
+                    out = cut_step(g, d0, 50)
+                except PreconditionFailed:
+                    continue
+                _ring_renaming(g, out)
+                counts["cut"] += 1
+    want = {"identify": 291, "collapse": 699, "extract": 73, "ladder": 20, "patch": 192, "cut": 32}
+    assert counts == want, counts
